@@ -104,21 +104,28 @@ def _mask_pair(cfg: ExperimentConfig, a: MaskedModel, b: MaskedModel) -> MaskPai
     return MaskPair.from_models(a, b)
 
 
-def _scores(cfg, model, ref, train_data, test_data, split) -> dict:
-    pair = _mask_pair(cfg, model, ref)
+def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
+    """Scores of ``model`` against each reference model, in order.
+
+    UA and TA depend on the model alone, so they are evaluated once.
+    """
     _, ua = evaluate(model, train_data, split.forget_indices)
     if test_data is not None:
         _, ta = evaluate(model, test_data, np.arange(test_data.n))
     else:
         _, ta = evaluate(model, train_data, split.retain_indices)
-    return {
-        "iom": iom(pair),
-        "uom": uom(pair),
-        "iou": iou(pair),
-        "kl": kl_masked_weights(model, ref),
-        "ta": ta,
-        "ua": ua,
-    }
+    scores = []
+    for ref in refs:
+        pair = _mask_pair(cfg, model, ref)
+        scores.append({
+            "iom": iom(pair),
+            "uom": uom(pair),
+            "iou": iou(pair),
+            "kl": kl_masked_weights(model, ref),
+            "ta": ta,
+            "ua": ua,
+        })
+    return scores
 
 
 def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, list]:
@@ -141,18 +148,15 @@ def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, list]:
         mode=cfg.prune_mode, test_data=test_data,
     )
     wall = time.perf_counter() - t0 if cfg.record_timing else 0.0
-    vs_oracle = CellRow(
-        seed=seed, method=method, sparsity=sparsity, wall_time_s=wall,
-        **_scores(cfg, model, oracle, train_data, test_data, split),
+    vs_oracle, vs_original = _scores(cfg, model, (oracle, pruned), train_data,
+                                     test_data, split)
+    return (
+        CellRow(seed=seed, method=method, sparsity=sparsity, wall_time_s=wall,
+                **vs_oracle),
+        CellRow(seed=seed, method=f"{method}:vs_original", sparsity=sparsity,
+                wall_time_s=wall, **vs_original),
+        trace.rows + [("final", trace.final_sparsity, "", "", 0)],
     )
-    vs_original = CellRow(
-        seed=seed, method=f"{method}:vs_original", sparsity=sparsity,
-        wall_time_s=wall,
-        **_scores(cfg, model, pruned, train_data, test_data, split),
-    )
-    return vs_oracle, vs_original, trace.rows + [
-        ("final", trace.final_sparsity, "", "", 0)
-    ]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
@@ -190,12 +194,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
                 report.rows.append(CellRow(
                     seed=seed, method="original", sparsity=sparsity,
                     wall_time_s=(dense_wall + prune_wall) if timing else 0.0,
-                    **_scores(cfg, pruned, oracle, train_data, test_data, split),
+                    **_scores(cfg, pruned, (oracle,), train_data, test_data,
+                              split)[0],
                 ))
                 report.rows.append(CellRow(
                     seed=seed, method="oracle", sparsity=sparsity,
                     wall_time_s=oracle_wall if timing else 0.0,
-                    **_scores(cfg, oracle, oracle, train_data, test_data, split),
+                    **_scores(cfg, oracle, (oracle,), train_data, test_data,
+                              split)[0],
                 ))
 
                 payloads = [

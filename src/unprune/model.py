@@ -134,7 +134,8 @@ def _forward_trace(
     pre = []
     for spec, w, b, m in zip(model.layers, model.weights, model.biases, model.masks):
         w_eff = w * m if masked else w
-        z = matmul(acts[-1], w_eff.T) + b
+        z = matmul(acts[-1], w_eff.T)
+        z += b
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
     return acts, pre
@@ -159,18 +160,30 @@ def backward(
     """
     acts, pre = _forward_trace(model, inputs, masked)
     loss, delta = softmax_cross_entropy(acts[-1], labels)
+    return loss, _backward_from_trace(model, acts, pre, delta, masked)
+
+
+def _backward_from_trace(
+    model: MaskedModel,
+    acts: list[np.ndarray],
+    pre: list[np.ndarray],
+    delta: np.ndarray,
+    masked: bool,
+) -> GradientSet:
+    """Parameter gradients from a ``_forward_trace`` and the logit gradient."""
     g_w = [None] * len(model.layers)
     g_b = [None] * len(model.layers)
     for l in range(len(model.layers) - 1, -1, -1):
-        g_eff = matmul(delta.T, acts[l])
-        g_w[l] = g_eff * model.masks[l] if masked else g_eff
+        g_w[l] = matmul(delta.T, acts[l])
+        if masked:
+            g_w[l] *= model.masks[l]
         g_b[l] = delta.sum(axis=0)
         if l > 0:
             w_eff = model.weights[l] * model.masks[l] if masked else model.weights[l]
             delta = matmul(delta, w_eff)
             if model.layers[l - 1].activation == "relu":
-                delta = delta * (pre[l - 1] > 0.0)
-    return loss, GradientSet(weights=g_w, biases=g_b)
+                delta *= pre[l - 1] > 0.0
+    return GradientSet(weights=g_w, biases=g_b)
 
 
 def apply_mask(model: MaskedModel) -> MaskedModel:

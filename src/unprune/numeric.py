@@ -76,7 +76,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError("matmul produced non-finite values")
     return out
 
@@ -97,6 +97,18 @@ def softmax_cross_entropy(
     Returns (loss, grad_logits) with grad = (softmax - onehot) / batch, the
     gradient of the mean loss with respect to the logits.
     """
+    nll, grad = _cross_entropy_rows(logits, labels)
+    return _mean_loss(nll), grad
+
+
+def _cross_entropy_rows(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row negative log-likelihoods and the gradient of their mean.
+
+    A row's value does not depend on the other rows, so a caller may
+    reorder the rows before taking the mean with ``_mean_loss``.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
@@ -109,12 +121,16 @@ def softmax_cross_entropy(
     if labels.min() < 0 or labels.max() >= c:
         raise InputError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    p = softmax(logits)
+    grad = softmax(logits)
     rows = np.arange(b)
-    loss = float(-np.log(np.maximum(p[rows, labels], 1e-300)).mean())
-    if not np.isfinite(loss):
-        raise NumericError("cross-entropy loss is non-finite")
-    grad = p.copy()
+    nll = -np.log(np.maximum(grad[rows, labels], 1e-300))
     grad[rows, labels] -= 1.0
     grad /= b
-    return loss, grad
+    return nll, grad
+
+
+def _mean_loss(nll: np.ndarray) -> float:
+    loss = float(nll.mean())
+    if not np.isfinite(loss):
+        raise NumericError("cross-entropy loss is non-finite")
+    return loss

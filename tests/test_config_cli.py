@@ -1,5 +1,7 @@
+import hashlib
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +157,26 @@ def test_rerun_is_byte_identical(tiny_report, tmp_path):
     run_experiment(cfg, out_dir=str(second))
     assert (second / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
     assert (second / "results.json").read_bytes() == (out / "results.json").read_bytes()
+
+
+# SHA-256 of the structured grid's outputs for seed 0 without timing. A
+# change that moves these numbers must re-pin them and say why.
+STRUCTURED_SEED0_SHA256 = {
+    "results.csv":
+        "28aa37cb94413cd385de36331b978123f14bcaf397dab0acedb654f1728ecd9a",
+    "results.json":
+        "23a7d0f1fa43e428e64e0e7d3c47ad7b78ecfcec63af231b9a1468f9b0b73bc2",
+}
+
+
+def test_structured_golden_output(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "structured.ini")
+    cfg = replace(parse_config(path), seeds=(0,), jobs=1, record_timing=False)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    for name, digest in STRUCTURED_SEED0_SHA256.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_traces_written(tiny_report):

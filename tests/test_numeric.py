@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unprune.errors import InputError, ShapeError
+from unprune.errors import InputError, NumericError, ShapeError
 from unprune.numeric import (
     SeededRng,
     matmul,
@@ -34,6 +36,17 @@ def test_matmul_shape_error():
         matmul(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         matmul(np.zeros(3), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.full((2, 3), 1e300), np.full((3, 2), 1e10)),  # overflow to inf
+    (np.full((2, 3), np.inf), np.zeros((3, 2))),      # inf * 0 is nan
+])
+def test_matmul_non_finite_product_raises_without_warning(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            matmul(a, b)
 
 
 def test_cross_entropy_uniform_logits():

@@ -116,3 +116,23 @@ def test_trainlog_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,split,loss,accuracy"
     assert len(lines) == 4
+
+
+def test_full_batch_divergence_in_last_epoch_names_epoch():
+    # One step leaves finite weights whose forward pass overflows; only the
+    # closing evaluate of the trained model can see it.
+    data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
+    model = build_model([2, 12, 2], 9)
+    with pytest.raises(NumericError, match="epoch 0"):
+        train_sgd(model, data, np.arange(data.n), 1, 1e200, 80, SeededRng(10))
+
+
+def test_full_batch_log_rows_equal_evaluate_after_each_epoch():
+    data = gen_blobs(SeededRng(12), 20, 2, 2, 1.0)
+    rows = np.arange(data.n)
+    model = build_model([2, 12, 2], 12)
+    log = train_sgd(model, data, rows, 10, 0.5, len(rows), SeededRng(13))
+    for k in range(10):
+        model = build_model([2, 12, 2], 12)
+        train_sgd(model, data, rows, k + 1, 0.5, len(rows), SeededRng(13))
+        assert log.rows[k] == (k, "train", *evaluate(model, data, rows))
