@@ -78,39 +78,71 @@ def _balanced_accuracy(member_pred: np.ndarray, nonmember_pred: np.ndarray) -> f
     return float((tpr + tnr) / 2.0)
 
 
+def _member_counts(sorted_vals: np.ndarray, thresholds, direction: int):
+    """How many of ``sorted_vals`` each threshold predicts as members.
+
+    The single definition of a threshold prediction: direction +1 predicts
+    member when value >= threshold, -1 when value <= threshold.
+    ``sorted_vals`` must be ascending (``np.sort``).
+    """
+    if direction == 1:
+        return len(sorted_vals) - np.searchsorted(sorted_vals, thresholds, "left")
+    return np.searchsorted(sorted_vals, thresholds, "right")
+
+
+def _balanced_accuracies(member_sorted, nonmember_sorted, thresholds, direction):
+    """Balanced accuracy of every threshold, as ``_balanced_accuracy`` computes it.
+
+    ``bool_array.mean()`` is a float64 sum of ones divided by the length, so
+    count / length here goes through the same IEEE operations and every
+    element equals the per-threshold score bit for bit.
+    """
+    tpr = _member_counts(member_sorted, thresholds, direction) / len(member_sorted)
+    tnr = 1.0 - _member_counts(nonmember_sorted, thresholds, direction) / len(
+        nonmember_sorted
+    )
+    return (tpr + tnr) / 2.0
+
+
 def _fit_threshold(member_vals: np.ndarray, nonmember_vals: np.ndarray):
     """Pick (threshold, direction) maximizing balanced accuracy on the fit pool.
 
-    direction +1 predicts member when value >= threshold, -1 when <=.
-    Ties resolve to the lowest threshold with +1 preferred, so the fit is
-    deterministic for identical inputs.
+    Candidates are the midpoints between consecutive distinct pooled values
+    plus one point below the smallest and one above the largest. Both sides
+    are sorted once, and ``np.searchsorted`` counts the predicted members of
+    every candidate in both directions in one pass, giving a
+    (candidates, 2) accuracy table.
+
+    Tie rule: the table is scanned in ascending threshold order, direction
+    +1 before -1, and a candidate replaces the best only when it beats it by
+    more than 1e-15. Ties therefore resolve to the lowest threshold with +1
+    preferred, so the fit is deterministic for identical inputs. ``argmax``
+    is not used because it is not this rule: it takes the first exact
+    maximum, while the scan keeps an earlier accuracy that a later one beats
+    by at most 1e-15 (accuracies that are equal in exact arithmetic can
+    round one ulp apart). Values must be finite.
     """
-    values = np.concatenate([member_vals, nonmember_vals])
-    cuts = np.unique(values)
+    member_sorted = np.sort(member_vals)
+    nonmember_sorted = np.sort(nonmember_vals)
+    cuts = np.unique(np.concatenate([member_sorted, nonmember_sorted]))
     candidates = np.concatenate([[cuts[0] - 1.0], (cuts[:-1] + cuts[1:]) / 2.0,
                                  [cuts[-1] + 1.0]])
-    best = (-1.0, 0.0, 1)
-    for threshold in candidates:
-        for direction in (1, -1):
-            if direction == 1:
-                acc = _balanced_accuracy(
-                    member_vals >= threshold, nonmember_vals >= threshold
-                )
-            else:
-                acc = _balanced_accuracy(
-                    member_vals <= threshold, nonmember_vals <= threshold
-                )
-            if acc > best[0] + 1e-15:
-                best = (acc, float(threshold), direction)
-    return best[1], best[2]
+    acc = np.stack(
+        [_balanced_accuracies(member_sorted, nonmember_sorted, candidates, d)
+         for d in (1, -1)],
+        axis=1,
+    )
+    best_acc, best = -1.0, 0
+    for k, value in enumerate(acc.ravel().tolist()):
+        if value > best_acc + 1e-15:
+            best_acc, best = value, k
+    return float(candidates[best // 2]), (1, -1)[best % 2]
 
 
 def _score_threshold(threshold, direction, member_vals, nonmember_vals) -> float:
-    if direction == 1:
-        return _balanced_accuracy(
-            member_vals >= threshold, nonmember_vals >= threshold
-        )
-    return _balanced_accuracy(member_vals <= threshold, nonmember_vals <= threshold)
+    return float(_balanced_accuracies(
+        np.sort(member_vals), np.sort(nonmember_vals), threshold, direction
+    ))
 
 
 def _fit_logistic(member_vals: np.ndarray, nonmember_vals: np.ndarray,

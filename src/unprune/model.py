@@ -222,22 +222,42 @@ def save_snapshot(model: MaskedModel, path: str) -> None:
             fh.write(s.astype("<f8").tobytes())
 
 
+def _header_uint(text: str, key: str, path: str) -> int:
+    # 20 digits hold any 64-bit seed; longer text would also hit int()'s limit.
+    if not text.isdigit() or len(text) > 20:
+        raise FormatError(
+            f"{path}: {key} entry {text!r} is not a non-negative integer"
+        )
+    return int(text)
+
+
 def load_snapshot(path: str) -> MaskedModel:
+    """Read a ``save_snapshot`` file; any deviation raises ``FormatError``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(_HEADER_END)
     if end < 0:
         raise FormatError(f"{path}: missing end-header marker")
+    if not raw[:end].isascii():
+        raise FormatError(f"{path}: header is not ASCII")
     lines = raw[:end].decode("ascii").splitlines()
     if not lines or lines[0] != SNAPSHOT_MAGIC:
         raise FormatError(f"{path}: bad snapshot magic line")
     fields = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
-    dims = [int(d) for d in fields["dims"].split(",")]
+    for key in ("seed", "dims", "activations"):
+        if key not in fields:
+            raise FormatError(f"{path}: header has no {key}= line")
+    seed = _header_uint(fields["seed"], "seed", path)
+    dims = [_header_uint(d, "dims", path) for d in fields["dims"].split(",")]
     activations = fields["activations"].split(",")
-    seed = int(fields["seed"])
-    specs = [
-        LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(len(dims) - 1)
-    ]
+    if len(dims) < 2 or len(activations) != len(dims) - 1:
+        raise FormatError(f"{path}: {len(dims)} dims need {len(dims) - 1} >= 1 "
+                          f"activations, got {len(activations)}")
+    try:
+        specs = [LayerSpec(dims[i], dims[i + 1], activations[i])
+                 for i in range(len(dims) - 1)]
+    except InputError as exc:
+        raise FormatError(f"{path}: bad layer in header: {exc}") from None
     blob = raw[end + len(_HEADER_END):]
     offset = 0
     weights, biases, masks, snap = [], [], [], []
@@ -256,6 +276,12 @@ def load_snapshot(path: str) -> MaskedModel:
         biases.append(take(spec.out_dim, (spec.out_dim,)))
         masks.append(take(spec.out_dim * spec.in_dim, (spec.out_dim, spec.in_dim)))
         snap.append(take(spec.out_dim * spec.in_dim, (spec.out_dim, spec.in_dim)))
+    if offset != len(blob):
+        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after "
+                          f"the last block")
+    for l, m in enumerate(masks):
+        if not ((m == 0.0) | (m == 1.0)).all():
+            raise FormatError(f"{path}: layer {l} mask has entries outside {{0, 1}}")
     return MaskedModel(
         layers=specs,
         weights=weights,

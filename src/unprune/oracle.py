@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -133,5 +134,15 @@ def cached_oracle(
         rewind_from, imp_rounds,
     )
     os.makedirs(cache_dir, exist_ok=True)
-    save_snapshot(model, path)
+    # Write a private temp file and rename it into place, so a reader never
+    # sees a half-written snapshot under the cache name.
+    fd, tmp = tempfile.mkstemp(prefix=f"oracle-{key}.", suffix=".tmp",
+                               dir=cache_dir)
+    os.close(fd)
+    try:
+        save_snapshot(model, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return model, wall, False

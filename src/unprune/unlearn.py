@@ -53,9 +53,12 @@ class UnlearnConfig:
 
 
 def _ascend(model: MaskedModel, grads: GradientSet, rate: float) -> None:
+    """One in-place ascent step; consumes ``grads`` as scratch space."""
     for w, b, gw, gb in zip(model.weights, model.biases, grads.weights, grads.biases):
-        w += rate * gw
-        b += rate * gb
+        gw *= rate
+        w += gw
+        gb *= rate
+        b += gb
 
 
 def unlearn_gradient_ascent(
@@ -187,8 +190,10 @@ def unlearn_finetune(
         for w, b, gw, gb in zip(
             model.weights, model.biases, grads.weights, grads.biases
         ):
-            w -= rate * gw
-            b -= rate * gb
+            gw *= rate
+            w -= gw
+            gb *= rate
+            b -= gb
     return model
 
 

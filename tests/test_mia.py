@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unprune.data import Dataset, gen_blobs, split_delete
 from unprune.errors import InputError
 from unprune.mia import (
     CHANNELS,
+    _fit_threshold,
+    _score_threshold,
     mia_evaluate,
     mia_features,
     ratio_sweep,
@@ -142,3 +148,78 @@ def test_sweep_csv(tmp_path, trained):
     lines = path.read_text().splitlines()
     assert lines[0] == "ratio,correctness,confidence,entropy,m_entropy,probability"
     assert len(lines) == 3
+
+
+def _fit_threshold_loop(member_vals, nonmember_vals):
+    """Reference: one comparison and one mean per candidate and direction."""
+    def balanced(member_pred, nonmember_pred):
+        tpr = member_pred.mean()
+        tnr = 1.0 - nonmember_pred.mean()
+        return float((tpr + tnr) / 2.0)
+
+    values = np.concatenate([member_vals, nonmember_vals])
+    cuts = np.unique(values)
+    candidates = np.concatenate([[cuts[0] - 1.0], (cuts[:-1] + cuts[1:]) / 2.0,
+                                 [cuts[-1] + 1.0]])
+    best = (-1.0, 0.0, 1)
+    for threshold in candidates:
+        for direction in (1, -1):
+            if direction == 1:
+                acc = balanced(member_vals >= threshold, nonmember_vals >= threshold)
+            else:
+                acc = balanced(member_vals <= threshold, nonmember_vals <= threshold)
+            if acc > best[0] + 1e-15:
+                best = (acc, float(threshold), direction)
+    return best[1], best[2], best[0]
+
+
+# One value kind per pool: spread floats, the 0/1 correctness channel, and
+# coarse grids that tie many values.
+_POOL_VALUES = (
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+    st.sampled_from([0.0, 1.0]),
+    st.integers(-8, 8).map(lambda k: k / 4.0),
+    st.integers(0, 100).map(lambda k: round(k / 100.0, 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.sampled_from(_POOL_VALUES),
+    sizes=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    data=st.data(),
+)
+def test_fit_threshold_equals_loop(values, sizes, data):
+    member, nonmember = (
+        np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
+                 dtype=np.float64)
+        for n in sizes
+    )
+    threshold, direction, acc = _fit_threshold_loop(member, nonmember)
+    fitted = _fit_threshold(member, nonmember)
+    assert fitted == (threshold, direction)
+    assert type(fitted[0]) is float and type(fitted[1]) is int
+    assert _score_threshold(threshold, direction, member, nonmember) == acc
+
+
+def test_sweep_csv_golden(tmp_path, trained):
+    model, train, test, split = trained
+    ratios = [round(0.8 + 0.05 * i, 2) for i in range(9)]
+    reports = ratio_sweep(model, train, split.forget_indices, test,
+                          np.arange(60), ratios, SeededRng(5))
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(reports, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9dd4bea82cff2324328482886f5ce18a31bd20805079cab9a1e0386843297bea"
+    )
+
+
+def test_score_threshold_includes_values_at_the_threshold():
+    member = np.array([1.0, 0.0, 2.0])
+    nonmember = np.array([1.0, 1.0])
+    # +1: member iff value >= 1 -> TPR 2/3, TNR 0; -1: value <= 1 -> 2/3, 0.
+    assert _score_threshold(1.0, 1, member, nonmember) == (2 / 3 + 0.0) / 2.0
+    assert _score_threshold(1.0, -1, member, nonmember) == (2 / 3 + 0.0) / 2.0
+    assert _score_threshold(1.5, -1, member, nonmember) == (2 / 3 + 0.0) / 2.0
+    assert _score_threshold(0.5, 1, member, nonmember) == (2 / 3 + 0.0) / 2.0
+    assert _score_threshold(0.5, -1, member, nonmember) == (1 / 3 + 1.0) / 2.0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from unprune.errors import InputError, ShapeError
+from unprune.errors import FormatError, InputError, ShapeError
 from unprune.model import (
     LayerSpec,
     apply_mask,
@@ -220,3 +222,75 @@ def test_snapshot_round_trip(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.biases, model.biases):
         assert np.array_equal(a, b)
+
+
+def _snapshot_bytes(tmp_path):
+    model = small_model(18, dims=(2, 4, 2))
+    prune_magnitude(model, 0.4)
+    path = str(tmp_path / "model.bin")
+    save_snapshot(model, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _load_bytes(tmp_path, raw):
+    path = str(tmp_path / "edited.bin")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"seed=18\n", b""),                         # missing key
+        (b"dims=2,4,2", b"dims=2,x,2"),              # non-integer dims
+        (b"seed=18", b"seed=1.5"),                   # non-integer seed
+        (b"seed=18", b"seed=" + b"9" * 5000),        # overlong integer
+        (b"seed=18", b"seed=\xc3\xa9"),              # non-ASCII header
+        (b"dims=2,4,2", b"dims=2,0,2"),              # non-positive dim
+        (b"dims=2,4,2", b"dims=2"),                  # no layer
+        (b"relu,none", b"relu"),                     # activation count
+        (b"relu,none", b"relu,gelu"),                # unknown activation
+    ],
+)
+def test_snapshot_malformed_header_rejected(tmp_path, old, new):
+    raw = _snapshot_bytes(tmp_path)
+    assert raw.count(old) == 1
+    with pytest.raises(FormatError):
+        _load_bytes(tmp_path, raw.replace(old, new))
+
+
+def test_snapshot_trailing_bytes_rejected(tmp_path):
+    raw = _snapshot_bytes(tmp_path)
+    with pytest.raises(FormatError, match="trailing"):
+        _load_bytes(tmp_path, raw + b"\x00" * 8)
+
+
+def test_snapshot_non_binary_mask_rejected(tmp_path):
+    model = small_model(19, dims=(2, 4, 2))
+    model.masks[1][0, 0] = 0.5
+    path = str(tmp_path / "model.bin")
+    save_snapshot(model, path)
+    with pytest.raises(FormatError, match="mask"):
+        load_snapshot(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_snapshot_fuzz_model_or_format_error(tmp_path, data):
+    raw = bytearray(_snapshot_bytes(tmp_path))
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        for pos in data.draw(st.lists(st.integers(0, len(raw) - 1),
+                                      min_size=1, max_size=3), label="flips"):
+            raw[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    try:
+        model = _load_bytes(tmp_path, bytes(raw))
+    except FormatError:
+        return
+    assert len(model.weights) == len(model.layers) >= 1
+    for m in model.masks:
+        assert np.isin(m, (0.0, 1.0)).all()

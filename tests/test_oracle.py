@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import unprune.oracle as oracle_module
 from unprune.data import gen_blobs, split_delete
 from unprune.metrics import MaskPair, iou, kl_masked_weights
 from unprune.numeric import SeededRng
@@ -89,3 +91,24 @@ def test_oracle_diverges_from_original(ref_runs, ref_oracles):
         assert not math.isnan(value)
         values.append(value)
     assert all(v < 1.0 for v in values)
+
+
+def test_cache_write_is_atomic(tmp_path, small_task, monkeypatch):
+    train, split, cfg = small_task
+    cache = tmp_path / "cache"
+
+    def broken_save(model, path):
+        with open(path, "wb") as fh:
+            fh.write(b"unprune-model 1\nseed=")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(oracle_module, "save_snapshot", broken_save)
+    with pytest.raises(OSError, match="disk full"):
+        cached_oracle(str(cache), train, split, [2, 10, 2], cfg, 0.5, 60)
+    assert os.listdir(cache) == []
+    monkeypatch.undo()
+    _, _, hit = cached_oracle(str(cache), train, split, [2, 10, 2], cfg, 0.5, 60)
+    assert not hit
+    key = oracle_key(train, split, [2, 10, 2], cfg, 0.5, "unstructured",
+                     "global", 60, False, 1)
+    assert os.listdir(cache) == [f"oracle-{key}.bin"]
