@@ -13,6 +13,7 @@ from .core import (
     grow_mask,
     grow_mask_structured,
     reinit_pruned,
+    topology,
     unprune,
 )
 from .data import Dataset, DeletionSplit, gen_blobs, load_idx, split_delete, write_idx
@@ -40,7 +41,7 @@ from .model import (
     mlp_specs,
     save_snapshot,
 )
-from .numeric import SeededRng, matmul, rng_normal, softmax_cross_entropy
+from .numeric import SeededRng, matmul, softmax_cross_entropy
 from .oracle import build_model, cached_oracle, retrain_reprune
 from .prune import (
     SparsityReport,

@@ -15,9 +15,10 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
-from .core import UnpruneConfig, unprune
+from .core import topology, unprune
 from .errors import ConfigError
 from .experiment import (
+    _prune_to,
     build_data,
     emit_scatter,
     report_from_json,
@@ -27,7 +28,7 @@ from .mia import ratio_sweep, sweep_to_csv
 from .model import load_snapshot, save_snapshot
 from .numeric import SeededRng
 from .oracle import build_model, cached_oracle
-from .prune import prune_magnitude, prune_structured_l2, sparsity_of
+from .prune import sparsity_of
 from .svg import line_svg
 from .train import evaluate, train_with_cfg
 
@@ -77,10 +78,7 @@ def cmd_prune(cfg: ExperimentConfig, args) -> int:
         model = load_snapshot(args.model)
     else:
         model, _, _, _, _ = _train_original(cfg, seed)
-    if cfg.prune_mode == "unstructured":
-        prune_magnitude(model, sparsity, scope=cfg.scope)
-    else:
-        prune_structured_l2(model, sparsity)
+    _prune_to(model, cfg, sparsity)
     report = sparsity_of(model)
     snap = os.path.join(out, f"pruned_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
@@ -112,19 +110,11 @@ def cmd_unprune(cfg: ExperimentConfig, args) -> int:
     sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
     method = args.method or cfg.methods[0]
     model, _, train_data, test_data, split = _train_original(cfg, seed)
-    if cfg.prune_mode == "unstructured":
-        prune_magnitude(model, sparsity, scope=cfg.scope)
-    else:
-        prune_structured_l2(model, sparsity)
-    unprune_cfg = UnpruneConfig(
-        original_sparsity=sparsity, grow_per_iter=cfg.grow_per_iter,
-        iterations=cfg.iterations, unlearn=cfg.unlearn_config(method),
-        init_strategy=cfg.init_strategy, random_init_std=cfg.random_init_std,
-    )
+    _prune_to(model, cfg, sparsity)
     _, trace = unprune(
-        model, train_data, split, unprune_cfg,
+        model, train_data, split, cfg.unprune_config(method, sparsity),
         SeededRng(seed).split(f"unprune/{method}/{sparsity!r}"),
-        mode=cfg.prune_mode, test_data=test_data,
+        mode=cfg.prune_mode, test_data=test_data, scope=cfg.scope,
     )
     snap = os.path.join(out, f"unpruned_seed{seed}_s{sparsity:g}_{method}.bin")
     save_snapshot(model, snap)
@@ -150,9 +140,8 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
         from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 
         ref = load_snapshot(args.ref)
-        pair = (MaskPair.from_neuron_masks(model, ref)
-                if cfg.prune_mode == "structured"
-                else MaskPair.from_models(model, ref))
+        topo = topology(cfg.prune_mode, cfg.scope)
+        pair = MaskPair(topo.kept(model), topo.kept(ref))
         print(f"vs ref: iom={iom(pair):.4f} uom={uom(pair):.4f} "
               f"iou={iou(pair):.4f} kl={kl_masked_weights(model, ref):.4f}")
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 
+from .core import INIT_STRATEGIES, Structured, UnpruneConfig, topology
 from .errors import ConfigError
 from .train import TrainCfg
 from .unlearn import METHODS, UnlearnConfig
@@ -82,11 +83,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.images and self.labels):
             raise ConfigError("idx datasets need images= and labels= paths")
-        if self.prune_mode not in ("unstructured", "structured"):
-            raise ConfigError(f"unknown prune mode {self.prune_mode!r}")
-        if self.scope not in ("global", "per_layer"):
-            raise ConfigError(f"unknown prune scope {self.scope!r}")
-        if self.init_strategy not in ("original", "random"):
+        topo = topology(self.prune_mode, self.scope)
+        if self.imp_rounds > 1 and isinstance(topo, Structured):
+            raise ConfigError("imp_rounds > 1 needs unstructured pruning")
+        if self.init_strategy not in INIT_STRATEGIES:
             raise ConfigError(f"unknown init strategy {self.init_strategy!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
@@ -108,6 +108,14 @@ class ExperimentConfig:
     def unlearn_config(self, method: str) -> UnlearnConfig:
         cfg = replace(self.unlearn_defaults, method=method)
         return replace(cfg, **self.unlearn_overrides.get(method, {}))
+
+    def unprune_config(self, method: str, sparsity: float) -> UnpruneConfig:
+        return UnpruneConfig(
+            original_sparsity=sparsity, grow_per_iter=self.grow_per_iter,
+            iterations=self.iterations, unlearn=self.unlearn_config(method),
+            init_strategy=self.init_strategy,
+            random_init_std=self.random_init_std,
+        )
 
     def arch_dims(self) -> list[int]:
         return [self.dim, *self.hidden, self.classes]

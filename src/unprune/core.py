@@ -12,6 +12,9 @@ point.
 The grow fraction is a fraction of ALL weights (for the structured variant,
 of all hidden neurons): growing p per iteration takes sparsity from s to
 s - T*p before the final re-prune restores s.
+
+``topology(mode, scope)`` is the one place that maps a prune mode to its
+prune, grow and kept-mask operations (``Unstructured`` / ``Structured``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .train import evaluate
 from .unlearn import UnlearnConfig, unlearn
 
 INIT_STRATEGIES = ("original", "random")
-PRUNE_MODES = ("unstructured", "structured")
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,48 @@ def grow_mask_structured(
     return model, grown
 
 
+class Unstructured:
+    """Single weights: magnitude pruning, growth and flat weight masks."""
+
+    def __init__(self, scope: str = "global"):
+        self.scope = scope
+
+    def prune(self, model: MaskedModel, sparsity: float) -> MaskedModel:
+        return prune_magnitude(model, sparsity, scope=self.scope)
+
+    def grow(self, model: MaskedModel, p: float) -> np.ndarray:
+        return grow_mask(model, p)[1]
+
+    def kept(self, model: MaskedModel) -> np.ndarray:
+        return model.flat_masks()
+
+
+class Structured:
+    """Whole hidden neurons: l2 row pruning, growth and neuron masks."""
+
+    def prune(self, model: MaskedModel, sparsity: float) -> MaskedModel:
+        return prune_structured_l2(model, sparsity)
+
+    def grow(self, model: MaskedModel, p: float) -> np.ndarray:
+        return grow_mask_structured(model, p)[1]
+
+    def kept(self, model: MaskedModel) -> np.ndarray:
+        return neuron_mask(model)
+
+
+def topology(mode: str, scope: str = "global") -> Unstructured | Structured:
+    """The topology a (prune mode, scope) pair names; only weights have a scope."""
+    if mode == "unstructured":
+        topo = Unstructured(scope)
+    elif mode == "structured":
+        topo = Structured()
+    else:
+        raise ConfigError(f"unknown prune mode {mode!r}")
+    if scope not in ("global", "per_layer"):
+        raise ConfigError(f"unknown prune scope {scope!r}")
+    return topo
+
+
 def unprune(
     model: MaskedModel,
     dataset: Dataset,
@@ -193,17 +237,18 @@ def unprune(
     rng: SeededRng,
     mode: str = "unstructured",
     test_data: Dataset | None = None,
+    scope: str = "global",
 ) -> tuple[MaskedModel, UnpruneTrace]:
     """Run the full un-pruning loop in place; returns (model, trace).
 
     The model must already be pruned. Unlearning runs with masks ignored
     (all parameters trainable); the mask re-asserts after each grow step, and
-    a final one-shot prune restores the original sparsity. TA in the trace is
-    measured on ``test_data`` when given, else on the retain rows.
+    a final one-shot prune (in ``mode`` and ``scope``) restores the original
+    sparsity. TA in the trace is measured on ``test_data`` when given, else
+    on the retain rows.
     """
     config.validate()
-    if mode not in PRUNE_MODES:
-        raise ConfigError(f"unknown prune mode {mode!r}")
+    topo = topology(mode, scope)
     eval_data = test_data if test_data is not None else dataset
     eval_rows = (
         np.arange(test_data.n) if test_data is not None else split.retain_indices
@@ -216,18 +261,12 @@ def unprune(
         )
         unlearn(model, split, dataset, config.unlearn, rng.split(f"unlearn-{t}"),
                 dense=True)
-        if mode == "unstructured":
-            _, grown = grow_mask(model, config.grow_per_iter)
-        else:
-            _, grown = grow_mask_structured(model, config.grow_per_iter)
+        grown = topo.grow(model, config.grow_per_iter)
         apply_mask(model)
         _, ua = evaluate(model, dataset, split.forget_indices)
         _, ta = evaluate(model, eval_data, eval_rows)
         trace.record(t, sparsity_of(model).sparsity, ua, ta, len(grown))
         trace.grown.append(grown)
-    if mode == "unstructured":
-        prune_magnitude(model, config.original_sparsity, scope="global")
-    else:
-        prune_structured_l2(model, config.original_sparsity)
+    topo.prune(model, config.original_sparsity)
     trace.final_sparsity = sparsity_of(model).sparsity
     return model, trace

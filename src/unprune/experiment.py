@@ -20,16 +20,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import UnpruneConfig, unprune
+from .core import UnpruneTrace, topology, unprune
 from .data import Dataset, DeletionSplit, gen_blobs, load_idx, split_delete
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from .model import MaskedModel
 from .numeric import SeededRng
 from .oracle import build_model, cached_oracle
-from .prune import prune_magnitude, prune_structured_l2, sparsity_of
 from .train import evaluate, train_with_cfg
-from .unlearn import UnlearnConfig
 
 CSV_COLUMNS = ("seed", "method", "sparsity", "iom", "uom", "iou", "kl",
                "ta", "ua", "wall_time_s")
@@ -92,16 +90,7 @@ def build_data(cfg: ExperimentConfig, seed: int
 
 
 def _prune_to(model: MaskedModel, cfg: ExperimentConfig, sparsity: float) -> None:
-    if cfg.prune_mode == "unstructured":
-        prune_magnitude(model, sparsity, scope=cfg.scope)
-    else:
-        prune_structured_l2(model, sparsity)
-
-
-def _mask_pair(cfg: ExperimentConfig, a: MaskedModel, b: MaskedModel) -> MaskPair:
-    if cfg.prune_mode == "structured":
-        return MaskPair.from_neuron_masks(a, b)
-    return MaskPair.from_models(a, b)
+    topology(cfg.prune_mode, cfg.scope).prune(model, sparsity)
 
 
 def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
@@ -114,9 +103,10 @@ def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
         _, ta = evaluate(model, test_data, np.arange(test_data.n))
     else:
         _, ta = evaluate(model, train_data, split.retain_indices)
+    topo = topology(cfg.prune_mode, cfg.scope)
     scores = []
     for ref in refs:
-        pair = _mask_pair(cfg, model, ref)
+        pair = MaskPair(topo.kept(model), topo.kept(ref))
         scores.append({
             "iom": iom(pair),
             "uom": uom(pair),
@@ -128,24 +118,16 @@ def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
     return scores
 
 
-def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, list]:
+def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, UnpruneTrace]:
     """One (seed, sparsity, method) cell; module-level so a pool can run it."""
     (cfg, seed, sparsity, method, pruned, oracle, train_data, test_data,
      split) = payload
-    unprune_cfg = UnpruneConfig(
-        original_sparsity=sparsity,
-        grow_per_iter=cfg.grow_per_iter,
-        iterations=cfg.iterations,
-        unlearn=cfg.unlearn_config(method),
-        init_strategy=cfg.init_strategy,
-        random_init_std=cfg.random_init_std,
-    )
     model = pruned.clone()
     t0 = time.perf_counter()
     _, trace = unprune(
-        model, train_data, split, unprune_cfg,
+        model, train_data, split, cfg.unprune_config(method, sparsity),
         SeededRng(seed).split(f"unprune/{method}/{sparsity!r}"),
-        mode=cfg.prune_mode, test_data=test_data,
+        mode=cfg.prune_mode, test_data=test_data, scope=cfg.scope,
     )
     wall = time.perf_counter() - t0 if cfg.record_timing else 0.0
     vs_oracle, vs_original = _scores(cfg, model, (oracle, pruned), train_data,
@@ -155,7 +137,7 @@ def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, list]:
                 **vs_oracle),
         CellRow(seed=seed, method=f"{method}:vs_original", sparsity=sparsity,
                 wall_time_s=wall, **vs_original),
-        trace.rows + [("final", trace.final_sparsity, "", "", 0)],
+        trace,
     )
 
 
@@ -164,7 +146,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
     """Run the configured grid; optionally write traces under out_dir."""
     cfg.validate()
     report = ExperimentReport()
-    trace_rows: dict[tuple, list] = {}
+    traces: dict[tuple, UnpruneTrace] = {}
     cache_dir = (os.path.join(out_dir, "oracle_cache")
                  if (out_dir and cfg.oracle_cache) else None)
 
@@ -210,24 +192,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
                     for method in cfg.methods
                 ]
                 if pool is not None:
-                    futures = {
-                        method: pool.submit(_unprune_cell, payload)
-                        for method, payload in zip(cfg.methods, payloads)
-                    }
-                    outcomes = [
-                        (method, futures[method]) for method in cfg.methods
-                    ]
-                else:
-                    outcomes = [(m, p) for m, p in zip(cfg.methods, payloads)]
-
-                for method, item in outcomes:
+                    payloads = [pool.submit(_unprune_cell, payload)
+                                for payload in payloads]
+                for method, item in zip(cfg.methods, payloads):
                     try:
                         result = (item.result() if pool is not None
                                   else _unprune_cell(item))
-                        vs_oracle, vs_original, rows = result
+                        vs_oracle, vs_original, trace = result
                         report.rows.append(vs_oracle)
                         report.rows.append(vs_original)
-                        trace_rows[(seed, sparsity, method)] = rows
+                        traces[(seed, sparsity, method)] = trace
                     except Exception as exc:  # cell failure: record, continue
                         report.errors.append({
                             "seed": seed, "method": method,
@@ -246,29 +220,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
         emit_json(report, os.path.join(out_dir, "results.json"))
         traces_dir = os.path.join(out_dir, "traces")
         os.makedirs(traces_dir, exist_ok=True)
-        for (seed, sparsity, method), rows in sorted(trace_rows.items()):
-            path = os.path.join(
+        for (seed, sparsity, method), trace in sorted(traces.items()):
+            trace.to_csv(os.path.join(
                 traces_dir, f"trace_seed{seed}_s{sparsity:g}_{method}.csv"
-            )
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["iteration", "sparsity", "ua", "ta",
-                                 "grown_count"])
-                for row in rows:
-                    writer.writerow([
-                        row[0],
-                        f"{row[1]:.10g}",
-                        f"{row[2]:.10g}" if row[2] != "" else "",
-                        f"{row[3]:.10g}" if row[3] != "" else "",
-                        row[4],
-                    ])
+            ))
     return report
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
 
 
 def emit_csv(report: ExperimentReport, path: str) -> None:
@@ -302,11 +258,6 @@ def report_from_json(path: str) -> ExperimentReport:
         rows=[CellRow(**row) for row in payload["rows"]],
         errors=list(payload["errors"]),
     )
-
-
-def load_csv_rows(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def emit_scatter(report: ExperimentReport, x_metric: str, y_metric: str,

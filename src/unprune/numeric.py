@@ -61,11 +61,6 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
 
 
-def rng_normal(rng: SeededRng, n: int, mean: float, std: float) -> np.ndarray:
-    """n draws from N(mean, std^2); std=0 degenerates to a constant vector."""
-    return rng.normal(n, mean, std)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two 2-d float64 arrays."""
     a = np.asarray(a, dtype=np.float64)

@@ -15,10 +15,11 @@ import time
 
 import numpy as np
 
+from .core import Structured, topology
 from .data import Dataset, DeletionSplit
+from .errors import FormatError, InputError
 from .model import MaskedModel, init_model, load_snapshot, mlp_specs, save_snapshot
 from .numeric import SeededRng
-from .prune import prune_magnitude, prune_structured_l2
 from .train import TrainCfg, train_with_cfg
 
 
@@ -67,9 +68,12 @@ def retrain_reprune(
     """Train on the retained rows only, prune to the target, return wall time.
 
     ``imp_rounds > 1`` switches to iterative magnitude pruning with rewind to
-    the saved init between rounds (an optional oracle variant, off by
-    default and outside the CI acceptance path).
+    the saved init between rounds (an optional unstructured oracle variant,
+    off by default and outside the CI acceptance path).
     """
+    topo = topology(mode, scope)
+    if imp_rounds > 1 and isinstance(topo, Structured):
+        raise InputError("imp_rounds > 1 needs unstructured pruning")
     t0 = time.perf_counter()
     model = build_model(dims, seed)
     if rewind_from is not None:
@@ -79,12 +83,9 @@ def retrain_reprune(
     # Same seed discipline as the original run: identical init and shuffle
     # streams, so the mask difference against the original is data-driven.
     rng = SeededRng(seed).split("train")
-    if mode == "structured" or imp_rounds <= 1:
+    if imp_rounds <= 1:
         train_with_cfg(model, dataset, split.retain_indices, train_cfg, rng)
-        if mode == "structured":
-            prune_structured_l2(model, sparsity)
-        else:
-            prune_magnitude(model, sparsity, scope=scope)
+        topo.prune(model, sparsity)
     else:
         targets = [sparsity * (r + 1) / imp_rounds for r in range(imp_rounds)]
         for r, target in enumerate(targets):
@@ -92,7 +93,7 @@ def retrain_reprune(
                 model, dataset, split.retain_indices, train_cfg,
                 rng.split(f"imp-{r}"),
             )
-            prune_magnitude(model, target, scope=scope)
+            topo.prune(model, target)
             if r + 1 < imp_rounds:
                 # LTH rewind: surviving weights back to their init values.
                 for w, m, s in zip(model.weights, model.masks, model.init_snapshot):
@@ -113,7 +114,10 @@ def cached_oracle(
     rewind_from: MaskedModel | None = None,
     imp_rounds: int = 1,
 ) -> tuple[MaskedModel, float, bool]:
-    """retrain_reprune behind a snapshot cache; returns (model, wall_s, hit)."""
+    """retrain_reprune behind a snapshot cache; returns (model, wall_s, hit).
+
+    A cached file that fails to load is deleted and retrained like a miss.
+    """
     if cache_dir is None:
         model, wall = retrain_reprune(
             dataset, split, dims, train_cfg, sparsity, seed, mode, scope,
@@ -127,8 +131,12 @@ def cached_oracle(
     path = os.path.join(cache_dir, f"oracle-{key}.bin")
     if os.path.exists(path):
         t0 = time.perf_counter()
-        model = load_snapshot(path)
-        return model, time.perf_counter() - t0, True
+        try:
+            model = load_snapshot(path)
+        except FormatError:
+            os.remove(path)
+        else:
+            return model, time.perf_counter() - t0, True
     model, wall = retrain_reprune(
         dataset, split, dims, train_cfg, sparsity, seed, mode, scope,
         rewind_from, imp_rounds,

@@ -90,6 +90,13 @@ def test_bad_values_rejected():
         parse_config_text("[run]\nseeds =\n")
 
 
+def test_structured_imp_rounds_rejected():
+    with pytest.raises(ConfigError, match="imp_rounds"):
+        parse_config_text("[prune]\nmode = structured\n"
+                          "[oracle]\nimp_rounds = 3\n")
+    parse_config_text("[prune]\nmode = structured\n[oracle]\nimp_rounds = 1\n")
+
+
 def test_per_method_overrides():
     cfg = parse_config_text(TINY_CONFIG)
     assert cfg.unlearn_config("noop").steps == 3
@@ -166,6 +173,10 @@ STRUCTURED_SEED0_SHA256 = {
         "28aa37cb94413cd385de36331b978123f14bcaf397dab0acedb654f1728ecd9a",
     "results.json":
         "23a7d0f1fa43e428e64e0e7d3c47ad7b78ecfcec63af231b9a1468f9b0b73bc2",
+    "traces/trace_seed0_s0.75_finetune.csv":
+        "10295c991333d380060b965924df9aead8fbe1563e5ab9a4c1db5a63b599d2ac",
+    "traces/trace_seed0_s0.75_gradient_ascent.csv":
+        "55948050df664d546c36e7e6915d353c2634e509354f430860cc1b6c1e1e2c7a",
 }
 
 
@@ -176,6 +187,25 @@ def test_structured_golden_output(tmp_path):
     run_experiment(cfg, out_dir=str(tmp_path))
     for name, digest in STRUCTURED_SEED0_SHA256.items():
         data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+TINY_SHA256 = {
+    "results.csv":
+        "4b35e5a328aaa1abe0537dfa09c213183542fbd0a567bb8144aa1530ee8ff581",
+    "results.json":
+        "5b7d34cdb7e6136cc2d53bc2e8f39104d611d231e7d967cab42bae93506487d7",
+    "traces/trace_seed0_s0.5_finetune.csv":
+        "8fe5d73b7249a8bfcd1a9bee197bac35811832a4639cb48b97f6e192adfba7b6",
+    "traces/trace_seed0_s0.5_noop.csv":
+        "8fe5d73b7249a8bfcd1a9bee197bac35811832a4639cb48b97f6e192adfba7b6",
+}
+
+
+def test_tiny_unstructured_golden_output(tiny_report):
+    _, _, out = tiny_report
+    for name, digest in TINY_SHA256.items():
+        data = (out / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 

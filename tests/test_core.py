@@ -245,3 +245,16 @@ def test_sparsity_restored_for_random_configs(seed):
     cfg = UnpruneConfig(s, p, t, UnlearnConfig(method="noop"))
     model, _ = unprune(model, data, split, cfg, SeededRng(seed + 2))
     assert sparsity_of(model).zero_mask_entries == zeros_before
+
+
+def test_unprune_per_layer_scope_keeps_layer_counts():
+    # The final re-prune uses the loop's scope: a per-layer pruned model
+    # comes back with each layer's own zero count, not a global re-ranking.
+    data, split = tiny_task(26)
+    model = build_model([2, 12, 8, 2], 26)
+    prune_magnitude(model, 0.5, scope="per_layer")
+    before = [p.zeros for p in sparsity_of(model).per_layer]
+    cfg = UnpruneConfig(0.5, 0.1, 2, UnlearnConfig(method="noop"))
+    model, _ = unprune(model, data, split, cfg, SeededRng(27),
+                       scope="per_layer")
+    assert [p.zeros for p in sparsity_of(model).per_layer] == before

@@ -9,7 +9,6 @@ from unprune.errors import InputError, NumericError, ShapeError
 from unprune.numeric import (
     SeededRng,
     matmul,
-    rng_normal,
     round_count,
     softmax_cross_entropy,
 )
@@ -83,25 +82,24 @@ def test_cross_entropy_label_out_of_range():
 
 
 def test_rng_normal_degenerate_std():
-    rng = SeededRng(5)
-    draws = rng_normal(rng, 7, 3.0, 0.0)
+    draws = SeededRng(5).normal(7, 3.0, 0.0)
     assert np.array_equal(draws, np.full(7, 3.0))
 
 
 def test_rng_normal_same_seed_identical():
-    a = rng_normal(SeededRng(99), 100, 0.0, 1.0)
-    b = rng_normal(SeededRng(99), 100, 0.0, 1.0)
+    a = SeededRng(99).normal(100, 0.0, 1.0)
+    b = SeededRng(99).normal(100, 0.0, 1.0)
     assert np.array_equal(a, b)
 
 
 def test_rng_normal_law_of_large_numbers():
-    draws = rng_normal(SeededRng(1), 100_000, 0.0, 1.0)
+    draws = SeededRng(1).normal(100_000, 0.0, 1.0)
     assert abs(draws.mean()) < 0.02
 
 
 def test_rng_normal_negative_std_rejected():
     with pytest.raises(InputError):
-        rng_normal(SeededRng(0), 3, 0.0, -1.0)
+        SeededRng(0).normal(3, 0.0, -1.0)
 
 
 def test_split_streams_are_independent_and_stable():

@@ -6,7 +6,9 @@ import pytest
 
 import unprune.oracle as oracle_module
 from unprune.data import gen_blobs, split_delete
+from unprune.errors import InputError
 from unprune.metrics import MaskPair, iou, kl_masked_weights
+from unprune.model import load_snapshot
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model, cached_oracle, oracle_key, retrain_reprune
 from unprune.prune import sparsity_of
@@ -112,3 +114,27 @@ def test_cache_write_is_atomic(tmp_path, small_task, monkeypatch):
     key = oracle_key(train, split, [2, 10, 2], cfg, 0.5, "unstructured",
                      "global", 60, False, 1)
     assert os.listdir(cache) == [f"oracle-{key}.bin"]
+
+
+def test_structured_imp_rounds_rejected(small_task):
+    # Iterative magnitude pruning is defined for unstructured masks only.
+    train, split, cfg = small_task
+    with pytest.raises(InputError, match="imp_rounds"):
+        retrain_reprune(train, split, [2, 10, 10, 2], cfg, 0.5, 60,
+                        mode="structured", imp_rounds=3)
+
+
+def test_corrupt_cache_file_is_retrained(tmp_path, small_task):
+    train, split, cfg = small_task
+    cache = tmp_path / "cache"
+    args = (train, split, [2, 10, 2], cfg, 0.5, 60)
+    cached_oracle(str(cache), *args)
+    (path,) = cache.iterdir()
+    path.write_bytes(path.read_bytes()[:-9])  # a truncated snapshot
+    model, _, hit = cached_oracle(str(cache), *args)
+    fresh, _ = retrain_reprune(*args)
+    assert not hit
+    for got in (model, load_snapshot(str(path))):
+        assert np.array_equal(got.flat_weights(), fresh.flat_weights())
+        assert np.array_equal(got.flat_masks(), fresh.flat_masks())
+    assert os.listdir(cache) == [path.name]
