@@ -6,6 +6,7 @@ reference tasks; each criterion checks the documented direction or exact
 property at its stated tolerance.
 """
 
+import hashlib
 import math
 import time
 
@@ -313,6 +314,20 @@ def test_criterion_09_mia_fragility(ref_runs):
                            f"{report.correctness:.3f}")
 
 
+# SHA-256 of the reference grid's outputs (all five seeds, no timing). A
+# change that moves these numbers must re-pin them and say why.
+REFERENCE_GRID_SHA256 = {
+    "results.csv":
+        "e3e617b4a7d9e86996b7ebe126e4593c119ddd51418251d9ea5dfc776c4b3288",
+    "results.json":
+        "5cdde921f9f9ead236876f80f3b04b67a74c60c125793b472d03bfd0efd07300",
+    "traces/trace_seed0_s0.6_finetune.csv":
+        "fe331664c6d108c8b1d5f70d3fd31557961ea006508c14ade3c3d8e5329cac7f",
+    "traces/trace_seed0_s0.6_gradient_ascent.csv":
+        "e1328b3b132737323c7bf5d568faa73b794b9c0f0fa249d4ae57eb7a558adb38",
+}
+
+
 def test_criterion_10_determinism(tmp_path):
     """Two runs of the reference grid emit byte-identical CSV and JSON."""
     cfg = reference_config(record_timing=False)
@@ -322,6 +337,9 @@ def test_criterion_10_determinism(tmp_path):
     report_a = run_experiment(cfg, out_dir=str(out_a))
     report_b = run_experiment(cfg, out_dir=str(out_b))
     assert not report_a.errors and not report_b.errors
+    for name, digest in REFERENCE_GRID_SHA256.items():
+        data = (out_a / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
     same_csv = (out_a / "results.csv").read_bytes() == \
                (out_b / "results.csv").read_bytes()
     same_json = (out_a / "results.json").read_bytes() == \
