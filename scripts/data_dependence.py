@@ -1,28 +1,26 @@
 #!/usr/bin/env python3
 """Data dependence of pruned topologies: train+prune on D versus on D_r.
 
-Same seed, same schedule, 10% deleted. Reports the mask overlap (IoU) under
-both global and per-layer magnitude thresholds at 60% sparsity.
+Same seed, same schedule, the reference task of configs/reference.ini with
+its deleted rows left out for D_r. Reports the mask overlap (IoU) under both
+global and per-layer magnitude thresholds at the configured sparsity.
 """
 
 import argparse
 import csv
+import os
 import sys
 
-import numpy as np
-
+from unprune.config import parse_config
+from unprune.experiment import prepare_seed
 from unprune.metrics import MaskPair, iou
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.prune import prune_magnitude
-from unprune.reference import (
-    REF_DIMS,
-    REF_SPARSITY,
-    REF_TRAIN,
-    REFERENCE_SEEDS,
-    reference_data,
-)
 from unprune.train import train_with_cfg
+
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                      "configs", "reference.ini")
 
 
 def main():
@@ -30,21 +28,21 @@ def main():
     parser.add_argument("--out", default="data_dependence.csv")
     args = parser.parse_args()
 
+    cfg = parse_config(CONFIG)
+    sparsity = cfg.sparsities[0]
     rows = []
-    for seed in REFERENCE_SEEDS:
-        train_data, _, split = reference_data(seed)
+    for seed in cfg.seeds:
+        run = prepare_seed(cfg, seed)
+        # Same init and shuffle stream as the full-data model.
+        retained = build_model(cfg.arch_dims(), seed)
+        train_with_cfg(retained, run.train_data, run.split.retain_indices,
+                       cfg.train, SeededRng(seed).split("train"))
         values = {}
         for scope in ("global", "per_layer"):
-            masks = {}
-            for name, indices in (("full", np.arange(train_data.n)),
-                                  ("retain", split.retain_indices)):
-                model = build_model(REF_DIMS, seed)
-                train_with_cfg(model, train_data, indices, REF_TRAIN,
-                               SeededRng(seed).split("train"))
-                prune_magnitude(model, REF_SPARSITY, scope=scope)
-                masks[name] = model
-            values[scope] = iou(MaskPair.from_models(masks["full"],
-                                                     masks["retain"]))
+            full, retain = run.dense.clone(), retained.clone()
+            prune_magnitude(full, sparsity, scope=scope)
+            prune_magnitude(retain, sparsity, scope=scope)
+            values[scope] = iou(MaskPair.from_models(full, retain))
         rows.append((seed, values["global"], values["per_layer"]))
         print(f"seed {seed}: IoU global={values['global']:.4f} "
               f"per_layer={values['per_layer']:.4f}")

@@ -21,16 +21,17 @@ from .experiment import (
     _prune_to,
     build_data,
     emit_scatter,
+    prepare_seed,
     report_from_json,
     run_experiment,
 )
 from .mia import ratio_sweep, sweep_to_csv
 from .model import load_snapshot, save_snapshot
 from .numeric import SeededRng
-from .oracle import build_model, cached_oracle
+from .oracle import cached_oracle
 from .prune import sparsity_of
 from .svg import line_svg
-from .train import evaluate, train_with_cfg
+from .train import evaluate
 
 DEFAULT_MIA_RATIOS = tuple(round(0.8 + 0.05 * i, 2) for i in range(9))
 
@@ -45,23 +46,13 @@ def _load_cfg(args) -> ExperimentConfig:
     cfg = parse_config(args.config)
     if args.seeds:
         cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
-    if args.jobs:
-        cfg = replace(cfg, jobs=args.jobs)
     return cfg.validate()
-
-
-def _train_original(cfg: ExperimentConfig, seed: int):
-    train_data, test_data, split = build_data(cfg, seed)
-    model = build_model(cfg.arch_dims(), seed)
-    log = train_with_cfg(model, train_data, np.arange(train_data.n), cfg.train,
-                         SeededRng(seed).split("train"))
-    return model, log, train_data, test_data, split
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(args)
     seed = cfg.seeds[0]
-    model, log, train_data, test_data, split = _train_original(cfg, seed)
+    train_data, _, _, model, log, *_ = prepare_seed(cfg, seed)
     snap = os.path.join(out, f"model_seed{seed}.bin")
     save_snapshot(model, snap)
     log.to_csv(os.path.join(out, f"trainlog_seed{seed}.csv"))
@@ -77,7 +68,7 @@ def cmd_prune(cfg: ExperimentConfig, args) -> int:
     if args.model:
         model = load_snapshot(args.model)
     else:
-        model, _, _, _, _ = _train_original(cfg, seed)
+        model = prepare_seed(cfg, seed).dense
     _prune_to(model, cfg, sparsity)
     report = sparsity_of(model)
     snap = os.path.join(out, f"pruned_seed{seed}_s{sparsity:g}.bin")
@@ -109,7 +100,7 @@ def cmd_unprune(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
     method = args.method or cfg.methods[0]
-    model, _, train_data, test_data, split = _train_original(cfg, seed)
+    train_data, test_data, split, model, *_ = prepare_seed(cfg, seed)
     _prune_to(model, cfg, sparsity)
     _, trace = unprune(
         model, train_data, split, cfg.unprune_config(method, sparsity),
@@ -154,7 +145,7 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
         model = load_snapshot(args.model)
         train_data, test_data, split = build_data(cfg, seed)
     else:
-        model, _, train_data, test_data, split = _train_original(cfg, seed)
+        train_data, test_data, split, model, *_ = prepare_seed(cfg, seed)
     if test_data is None:
         raise ConfigError("mia-sweep needs held-out test data as non-members")
     ratios = list(cfg.mia_ratios or DEFAULT_MIA_RATIOS)
@@ -229,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seeds", default="", help="override seed list (CSV)")
-        p.add_argument("--jobs", type=int, default=0, help="worker processes")
         if name in ("prune", "oracle", "unprune"):
             p.add_argument("--sparsity", type=float, default=None)
         if name == "unprune":

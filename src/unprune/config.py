@@ -30,7 +30,7 @@ _SCHEMA: dict[str, set[str]] = {
     "unlearn": {"methods"} | _UNLEARN_KEYS,
     "oracle": {"rewind", "imp_rounds", "cache"},
     "mia": {"ratios"},
-    "run": {"seeds", "out", "jobs", "record_timing"},
+    "run": {"seeds", "out", "record_timing"},
 }
 
 
@@ -75,6 +75,8 @@ class ExperimentConfig:
     # run
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     out_dir: str = "results"
+    # Not configurable: the grid runs in one process. The field stays only
+    # because the benchmark (perfbench/workloads.py) replaces it with 1.
     jobs: int = 1
     record_timing: bool = True
 
@@ -84,6 +86,8 @@ class ExperimentConfig:
         if self.dataset_kind == "idx" and not (self.images and self.labels):
             raise ConfigError("idx datasets need images= and labels= paths")
         topo = topology(self.prune_mode, self.scope)
+        if self.imp_rounds < 1:
+            raise ConfigError(f"imp_rounds must be >= 1, got {self.imp_rounds}")
         if self.imp_rounds > 1 and isinstance(topo, Structured):
             raise ConfigError("imp_rounds > 1 needs unstructured pruning")
         if self.init_strategy not in INIT_STRATEGIES:
@@ -101,8 +105,8 @@ class ExperimentConfig:
             self.unlearn_config(m).validate()
         if not 0.0 < self.delete_ratio < 1.0:
             raise ConfigError(f"delete ratio {self.delete_ratio} outside (0, 1)")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ConfigError(f"jobs must be 1, got {self.jobs}")
         return self
 
     def unlearn_config(self, method: str) -> UnlearnConfig:
@@ -125,7 +129,7 @@ def _parse_value(section: str, key: str, raw: str):
     raw = raw.strip()
     try:
         if key in {"classes", "n_per_class", "test_per_class", "dim", "epochs",
-                   "batch_size", "iterations", "steps", "imp_rounds", "jobs"}:
+                   "batch_size", "iterations", "steps", "imp_rounds"}:
             return int(raw)
         if key in {"spread", "lr", "ratio", "grow_per_iter", "random_init_std",
                    "rate", "fisher_noise_scale"}:

@@ -1,7 +1,8 @@
 """Experiment orchestration: the full (seed x method x sparsity) grid.
 
-Per seed: train the original model on the full data, prune it, build (or
-load) the retrain+reprune oracle, then run every unlearning method through
+Per seed (``prepare_seed``): build the data, train the original model on
+the full data and prune one clone per sparsity. Then build (or load) the
+retrain+reprune oracle, then run every unlearning method through
 the un-pruning loop and score the result against both the oracle and the
 original. Rows are sorted before emission so the output never depends on
 execution order, and with timing recording disabled two runs of the same
@@ -14,8 +15,8 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from .model import MaskedModel
 from .numeric import SeededRng
 from .oracle import build_model, cached_oracle
-from .train import evaluate, train_with_cfg
+from .train import TrainLog, evaluate, train_with_cfg
 
 CSV_COLUMNS = ("seed", "method", "sparsity", "iom", "uom", "iou", "kl",
                "ta", "ua", "wall_time_s")
@@ -93,6 +94,36 @@ def _prune_to(model: MaskedModel, cfg: ExperimentConfig, sparsity: float) -> Non
     topology(cfg.prune_mode, cfg.scope).prune(model, sparsity)
 
 
+class SeedSetup(NamedTuple):
+    """One seed before un-pruning: its data, the dense model, pruned clones."""
+    train_data: Dataset
+    test_data: Dataset | None
+    split: DeletionSplit
+    dense: MaskedModel                 # trained on all rows, not pruned
+    log: TrainLog
+    train_wall: float
+    pruned: dict[float, MaskedModel]   # a pruned clone of dense per sparsity
+    prune_wall: dict[float, float]
+
+
+def prepare_seed(cfg: ExperimentConfig, seed: int) -> SeedSetup:
+    """Build the data, train the original model and prune it, for one seed."""
+    train_data, test_data, split = build_data(cfg, seed)
+    t0 = time.perf_counter()
+    dense = build_model(cfg.arch_dims(), seed)
+    log = train_with_cfg(dense, train_data, np.arange(train_data.n), cfg.train,
+                         SeededRng(seed).split("train"))
+    train_wall = time.perf_counter() - t0
+    pruned, prune_wall = {}, {}
+    for sparsity in cfg.sparsities:
+        pruned[sparsity] = dense.clone()
+        t1 = time.perf_counter()
+        _prune_to(pruned[sparsity], cfg, sparsity)
+        prune_wall[sparsity] = time.perf_counter() - t1
+    return SeedSetup(train_data, test_data, split, dense, log, train_wall,
+                     pruned, prune_wall)
+
+
 def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
     """Scores of ``model`` against each reference model, in order.
 
@@ -119,7 +150,7 @@ def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
 
 
 def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, UnpruneTrace]:
-    """One (seed, sparsity, method) cell; module-level so a pool can run it."""
+    """One (seed, sparsity, method) cell: un-prune a clone, score it."""
     (cfg, seed, sparsity, method, pruned, oracle, train_data, test_data,
      split) = payload
     model = pruned.clone()
@@ -150,66 +181,47 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
     cache_dir = (os.path.join(out_dir, "oracle_cache")
                  if (out_dir and cfg.oracle_cache) else None)
 
-    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
-    try:
-        for seed in cfg.seeds:
-            train_data, test_data, split = build_data(cfg, seed)
-            all_rows = np.arange(train_data.n)
-            t0 = time.perf_counter()
-            dense = build_model(cfg.arch_dims(), seed)
-            train_with_cfg(dense, train_data, all_rows, cfg.train,
-                           SeededRng(seed).split("train"))
-            dense_wall = time.perf_counter() - t0
-
-            for sparsity in cfg.sparsities:
-                pruned = dense.clone()
-                t1 = time.perf_counter()
-                _prune_to(pruned, cfg, sparsity)
-                prune_wall = time.perf_counter() - t1
-                rewind = dense if cfg.oracle_rewind else None
-                oracle, oracle_wall, _ = cached_oracle(
-                    cache_dir, train_data, split, cfg.arch_dims(), cfg.train,
-                    sparsity, seed, cfg.prune_mode, cfg.scope, rewind,
-                    cfg.imp_rounds,
-                )
-                timing = cfg.record_timing
-                report.rows.append(CellRow(
-                    seed=seed, method="original", sparsity=sparsity,
-                    wall_time_s=(dense_wall + prune_wall) if timing else 0.0,
-                    **_scores(cfg, pruned, (oracle,), train_data, test_data,
-                              split)[0],
-                ))
-                report.rows.append(CellRow(
-                    seed=seed, method="oracle", sparsity=sparsity,
-                    wall_time_s=oracle_wall if timing else 0.0,
-                    **_scores(cfg, oracle, (oracle,), train_data, test_data,
-                              split)[0],
-                ))
-
-                payloads = [
-                    (cfg, seed, sparsity, method, pruned, oracle, train_data,
-                     test_data, split)
-                    for method in cfg.methods
-                ]
-                if pool is not None:
-                    payloads = [pool.submit(_unprune_cell, payload)
-                                for payload in payloads]
-                for method, item in zip(cfg.methods, payloads):
-                    try:
-                        result = (item.result() if pool is not None
-                                  else _unprune_cell(item))
-                        vs_oracle, vs_original, trace = result
-                        report.rows.append(vs_oracle)
-                        report.rows.append(vs_original)
-                        traces[(seed, sparsity, method)] = trace
-                    except Exception as exc:  # cell failure: record, continue
-                        report.errors.append({
-                            "seed": seed, "method": method,
-                            "sparsity": sparsity, "error": str(exc),
-                        })
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for seed in cfg.seeds:
+        # The training log is dropped here: nothing of it stays alive
+        # across the seed's cells.
+        (train_data, test_data, split, dense, _, dense_wall, pruned_at,
+         prune_wall) = prepare_seed(cfg, seed)
+        for sparsity in cfg.sparsities:
+            pruned = pruned_at[sparsity]
+            rewind = dense if cfg.oracle_rewind else None
+            oracle, oracle_wall, _ = cached_oracle(
+                cache_dir, train_data, split, cfg.arch_dims(), cfg.train,
+                sparsity, seed, cfg.prune_mode, cfg.scope, rewind,
+                cfg.imp_rounds,
+            )
+            timing = cfg.record_timing
+            report.rows.append(CellRow(
+                seed=seed, method="original", sparsity=sparsity,
+                wall_time_s=(dense_wall + prune_wall[sparsity]) if timing
+                else 0.0,
+                **_scores(cfg, pruned, (oracle,), train_data, test_data,
+                          split)[0],
+            ))
+            report.rows.append(CellRow(
+                seed=seed, method="oracle", sparsity=sparsity,
+                wall_time_s=oracle_wall if timing else 0.0,
+                **_scores(cfg, oracle, (oracle,), train_data, test_data,
+                          split)[0],
+            ))
+            for method in cfg.methods:
+                try:
+                    vs_oracle, vs_original, trace = _unprune_cell(
+                        (cfg, seed, sparsity, method, pruned, oracle,
+                         train_data, test_data, split))
+                except Exception as exc:  # cell failure: record, continue
+                    report.errors.append({
+                        "seed": seed, "method": method,
+                        "sparsity": sparsity, "error": str(exc),
+                    })
+                    continue
+                report.rows.append(vs_oracle)
+                report.rows.append(vs_original)
+                traces[(seed, sparsity, method)] = trace
 
     report.rows.sort(key=lambda r: (r.seed, r.sparsity, r.method))
     report.errors.sort(key=lambda e: (e["seed"], e["sparsity"], e["method"]))

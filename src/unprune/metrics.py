@@ -88,34 +88,12 @@ def _gaussian_kl(mu_p, var_p, mu_q, var_q) -> float:
     )
 
 
-def _histogram_kl(values_p: np.ndarray, values_q: np.ndarray, bins: int) -> float:
-    lo = min(values_p.min(), values_q.min())
-    hi = max(values_p.max(), values_q.max())
-    if lo == hi:
-        return 0.0
-    edges = np.linspace(lo, hi, bins + 1)
-    p, _ = np.histogram(values_p, bins=edges)
-    q, _ = np.histogram(values_q, bins=edges)
-    p = (p + 1e-9) / (p + 1e-9).sum()
-    q = (q + 1e-9) / (q + 1e-9).sum()
-    return float((p * np.log(p / q)).sum())
-
-
-def kl_masked_weights(
-    model_u: MaskedModel,
-    model_r: MaskedModel,
-    estimator: str = "gaussian",
-    bins: int = 64,
-) -> float:
+def kl_masked_weights(model_u: MaskedModel, model_r: MaskedModel) -> float:
     """Distribution distance KL(P(M_u * W_u) || P(M_r * W_r)), summed per layer.
 
-    The default estimator fits a Gaussian to each layer's masked weight
-    values (zeros included); a histogram estimator is available behind the
-    ``estimator`` switch. Zero reference variance is floored at 1e-12 and
-    flagged with a warning.
+    Fits a Gaussian to each layer's masked weight values (zeros included).
+    Zero reference variance is floored at 1e-12 and flagged with a warning.
     """
-    if estimator not in ("gaussian", "histogram"):
-        raise InputError(f"unknown KL estimator {estimator!r}")
     if [l.out_dim for l in model_u.layers] != [l.out_dim for l in model_r.layers] or \
        model_u.layers[0].in_dim != model_r.layers[0].in_dim:
         raise InputError("models must share an architecture")
@@ -125,9 +103,6 @@ def kl_masked_weights(
     ):
         vu = (wu * mu_).ravel()
         vr = (wr * mr_).ravel()
-        if estimator == "histogram":
-            total += _histogram_kl(vu, vr, bins)
-            continue
         var_u = float(vu.var())
         var_r = float(vr.var())
         if var_u < VARIANCE_FLOOR or var_r < VARIANCE_FLOOR:

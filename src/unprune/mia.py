@@ -72,12 +72,6 @@ def mia_features(
     }
 
 
-def _balanced_accuracy(member_pred: np.ndarray, nonmember_pred: np.ndarray) -> float:
-    tpr = member_pred.mean()
-    tnr = 1.0 - nonmember_pred.mean()
-    return float((tpr + tnr) / 2.0)
-
-
 def _member_counts(sorted_vals: np.ndarray, thresholds, direction: int):
     """How many of ``sorted_vals`` each threshold predicts as members.
 
@@ -91,11 +85,11 @@ def _member_counts(sorted_vals: np.ndarray, thresholds, direction: int):
 
 
 def _balanced_accuracies(member_sorted, nonmember_sorted, thresholds, direction):
-    """Balanced accuracy of every threshold, as ``_balanced_accuracy`` computes it.
+    """Balanced accuracy (TPR + TNR) / 2 of every threshold.
 
-    ``bool_array.mean()`` is a float64 sum of ones divided by the length, so
-    count / length here goes through the same IEEE operations and every
-    element equals the per-threshold score bit for bit.
+    ``bool_array.mean()`` of a prediction is a float64 sum of ones divided
+    by the length, so count / length here goes through the same IEEE
+    operations and every element equals the per-threshold score bit for bit.
     """
     tpr = _member_counts(member_sorted, thresholds, direction) / len(member_sorted)
     tnr = 1.0 - _member_counts(nonmember_sorted, thresholds, direction) / len(
@@ -145,29 +139,6 @@ def _score_threshold(threshold, direction, member_vals, nonmember_vals) -> float
     ))
 
 
-def _fit_logistic(member_vals: np.ndarray, nonmember_vals: np.ndarray,
-                  steps: int = 200, lr: float = 0.5):
-    """1-d logistic regression on a standardized channel (deterministic GD)."""
-    x = np.concatenate([member_vals, nonmember_vals])
-    y = np.concatenate([np.ones(len(member_vals)), np.zeros(len(nonmember_vals))])
-    mu, sd = x.mean(), max(x.std(), 1e-12)
-    z = (x - mu) / sd
-    w, b = 0.0, 0.0
-    for _ in range(steps):
-        p = 1.0 / (1.0 + np.exp(-(w * z + b)))
-        grad = p - y
-        w -= lr * float((grad * z).mean())
-        b -= lr * float(grad.mean())
-    return mu, sd, w, b
-
-
-def _score_logistic(params, member_vals, nonmember_vals) -> float:
-    mu, sd, w, b = params
-    member_pred = (w * (member_vals - mu) / sd + b) >= 0.0
-    nonmember_pred = (w * (nonmember_vals - mu) / sd + b) >= 0.0
-    return _balanced_accuracy(member_pred, nonmember_pred)
-
-
 def mia_evaluate(
     model: MaskedModel,
     member_data: Dataset,
@@ -176,7 +147,6 @@ def mia_evaluate(
     nonmember_rows: np.ndarray,
     ratio: float,
     rng: SeededRng,
-    attacker: str = "threshold",
 ) -> MIAReport:
     """Per-channel attack scores for one member:non-member ratio.
 
@@ -184,12 +154,8 @@ def mia_evaluate(
     held-out rows) may come from different datasets. Members are resampled
     to round(ratio * n_nonmember) rows (with replacement when the pool is
     too small, flagged in the report); each channel is fit on a held-in half
-    and scored on the held-out half. The default attacker picks the best
-    threshold per channel; ``attacker="logistic"`` fits a one-dimensional
-    logistic regression instead.
+    and scored on the held-out half by the best threshold per channel.
     """
-    if attacker not in ("threshold", "logistic"):
-        raise InputError(f"unknown attacker {attacker!r}")
     member_rows = np.asarray(member_rows, dtype=np.int64)
     nonmember_rows = np.asarray(nonmember_rows, dtype=np.int64)
     if len(member_rows) == 0 or len(nonmember_rows) == 0:
@@ -216,16 +182,10 @@ def mia_evaluate(
     for channel in CHANNELS:
         vals_m = feats_m[channel][order_m]
         vals_n = feats_n[channel][order_n]
-        if attacker == "threshold":
-            threshold, direction = _fit_threshold(vals_m[:half_m], vals_n[:half_n])
-            scores[channel] = _score_threshold(
-                threshold, direction, vals_m[half_m:], vals_n[half_n:]
-            )
-        else:
-            params = _fit_logistic(vals_m[:half_m], vals_n[:half_n])
-            scores[channel] = _score_logistic(
-                params, vals_m[half_m:], vals_n[half_n:]
-            )
+        threshold, direction = _fit_threshold(vals_m[:half_m], vals_n[:half_n])
+        scores[channel] = _score_threshold(
+            threshold, direction, vals_m[half_m:], vals_n[half_n:]
+        )
     return MIAReport(
         ratio=float(ratio),
         n_member=n_member,

@@ -72,6 +72,8 @@ def retrain_reprune(
     off by default and outside the CI acceptance path).
     """
     topo = topology(mode, scope)
+    if imp_rounds < 1:
+        raise InputError(f"imp_rounds must be >= 1, got {imp_rounds}")
     if imp_rounds > 1 and isinstance(topo, Structured):
         raise InputError("imp_rounds > 1 needs unstructured pruning")
     t0 = time.perf_counter()
@@ -83,7 +85,7 @@ def retrain_reprune(
     # Same seed discipline as the original run: identical init and shuffle
     # streams, so the mask difference against the original is data-driven.
     rng = SeededRng(seed).split("train")
-    if imp_rounds <= 1:
+    if imp_rounds == 1:
         train_with_cfg(model, dataset, split.retain_indices, train_cfg, rng)
         topo.prune(model, sparsity)
     else:

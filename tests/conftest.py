@@ -1,38 +1,48 @@
-"""Shared fixtures: the reference runs and oracles are expensive, build once."""
+"""Shared fixtures: the reference runs and oracles are expensive, build once.
 
-import numpy as np
+The two reference tasks are the shipped configs: configs/reference.ini
+(unstructured) and configs/structured.ini (whole-neuron masks).
+"""
+
+import os
+
 import pytest
 
-from unprune.oracle import build_model
-from unprune.prune import prune_magnitude, prune_structured_l2
-from unprune.reference import (
-    REF_DIMS,
-    REF_TRAIN,
-    REFERENCE_SEEDS,
-    STRUCT_DIMS,
-    STRUCT_FRACTION,
-    STRUCT_TRAIN,
-    reference_run,
-    structured_run,
-)
+from unprune.config import parse_config
+from unprune.experiment import prepare_seed
 from unprune.numeric import SeededRng
+from unprune.oracle import build_model, retrain_reprune
+from unprune.prune import prune_magnitude
 from unprune.train import train_with_cfg
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "configs")
+
 
 @pytest.fixture(scope="session")
-def ref_runs():
+def ref_cfg():
+    return parse_config(os.path.join(CONFIGS, "reference.ini"))
+
+
+@pytest.fixture(scope="session")
+def struct_cfg():
+    return parse_config(os.path.join(CONFIGS, "structured.ini"))
+
+
+@pytest.fixture(scope="session")
+def ref_runs(ref_cfg):
     """Trained+pruned unstructured reference models, one per seed."""
-    return {seed: reference_run(seed) for seed in REFERENCE_SEEDS}
+    return {seed: prepare_seed(ref_cfg, seed) for seed in ref_cfg.seeds}
 
 
 @pytest.fixture(scope="session")
-def ref_oracle_dense(ref_runs):
+def ref_oracle_dense(ref_cfg, ref_runs):
     """Dense retrain-on-retained models (the oracle before its prune)."""
     out = {}
     for seed, run in ref_runs.items():
-        model = build_model(REF_DIMS, seed)
+        model = build_model(ref_cfg.arch_dims(), seed)
         train_with_cfg(model, run.train_data, run.split.retain_indices,
-                       REF_TRAIN, SeededRng(seed).split("train"))
+                       ref_cfg.train, SeededRng(seed).split("train"))
         out[seed] = model
     return out
 
@@ -50,18 +60,17 @@ def ref_oracles(ref_oracle_dense):
 
 
 @pytest.fixture(scope="session")
-def struct_runs():
+def struct_runs(struct_cfg):
     """Trained+pruned structured reference models, one per seed."""
-    return {seed: structured_run(seed) for seed in REFERENCE_SEEDS}
+    return {seed: prepare_seed(struct_cfg, seed) for seed in struct_cfg.seeds}
 
 
 @pytest.fixture(scope="session")
-def struct_oracles(struct_runs):
-    out = {}
-    for seed, run in struct_runs.items():
-        model = build_model(STRUCT_DIMS, seed)
-        train_with_cfg(model, run.train_data, run.split.retain_indices,
-                       STRUCT_TRAIN, SeededRng(seed).split("train"))
-        prune_structured_l2(model, STRUCT_FRACTION)
-        out[seed] = model
-    return out
+def struct_oracles(struct_cfg, struct_runs):
+    cfg = struct_cfg
+    return {
+        seed: retrain_reprune(run.train_data, run.split, cfg.arch_dims(),
+                              cfg.train, cfg.sparsities[0], seed,
+                              mode=cfg.prune_mode, scope=cfg.scope)[0]
+        for seed, run in struct_runs.items()
+    }

@@ -9,6 +9,7 @@ property at its stated tolerance.
 import hashlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,17 +21,7 @@ from unprune.mia import mia_evaluate, ratio_sweep
 from unprune.model import backward, forward, init_model, mlp_specs
 from unprune.numeric import SeededRng, softmax_cross_entropy
 from unprune.oracle import build_model, retrain_reprune
-from unprune.prune import prune_magnitude, prune_structured_l2, sparsity_of
-from unprune.reference import (
-    REF_DIMS,
-    REF_SPARSITY,
-    REF_TRAIN,
-    REFERENCE_SEEDS,
-    STRUCT_FRACTION,
-    reference_config,
-    reference_unprune_config,
-    structured_unprune_config,
-)
+from unprune.prune import prune_magnitude, sparsity_of
 from unprune.train import TrainCfg, evaluate, train_with_cfg
 from unprune.unlearn import UnlearnConfig
 
@@ -125,11 +116,11 @@ def test_criterion_02_gradient_fidelity():
                            f"{elapsed:.1f}s")
 
 
-def test_criterion_03_data_dependence(ref_runs, ref_oracles):
+def test_criterion_03_data_dependence(ref_cfg, ref_runs, ref_oracles):
     """Same seed, 10% deleted: pruned topologies visibly diverge (IoU < 0.95)."""
     values = []
-    for seed in REFERENCE_SEEDS:
-        pair = MaskPair.from_models(ref_runs[seed].pruned,
+    for seed in ref_cfg.seeds:
+        pair = MaskPair.from_models(ref_runs[seed].pruned[0.6],
                                     ref_oracles[(seed, 0.6)])
         values.append(iou(pair))
     hits = sum(v < 0.95 for v in values)
@@ -140,13 +131,14 @@ def test_criterion_03_data_dependence(ref_runs, ref_oracles):
 
 
 @pytest.fixture(scope="session")
-def unpruned_reference(ref_runs):
+def unpruned_reference(ref_cfg, ref_runs):
     """Un-pruning outputs for both headline methods on the reference task."""
     out = {}
+    sparsity = ref_cfg.sparsities[0]
     for method in ("gradient_ascent", "finetune"):
         for seed, run in ref_runs.items():
-            model = run.pruned.clone()
-            cfg = reference_unprune_config(method)
+            model = run.pruned[sparsity].clone()
+            cfg = ref_cfg.unprune_config(method, sparsity)
             model, trace = unprune(
                 model, run.train_data, run.split, cfg,
                 SeededRng(seed).split(f"unprune/{method}"),
@@ -157,19 +149,20 @@ def unpruned_reference(ref_runs):
 
 
 def test_criterion_04_unpruning_beats_doing_nothing(
-        ref_runs, ref_oracles, unpruned_reference):
+        ref_cfg, ref_runs, ref_oracles, unpruned_reference):
     """Mean IoM(M_u, oracle) > mean IoM(M, oracle) and UA gap not worse."""
     all_ok = True
     details = []
     for method in ("gradient_ascent", "finetune"):
         iom_orig, iom_u, gap_orig, gap_u = [], [], [], []
-        for seed in REFERENCE_SEEDS:
+        for seed in ref_cfg.seeds:
             run = ref_runs[seed]
+            pruned = run.pruned[0.6]
             oracle = ref_oracles[(seed, 0.6)]
             model, _ = unpruned_reference[(method, seed)]
-            iom_orig.append(iom(MaskPair.from_models(run.pruned, oracle)))
+            iom_orig.append(iom(MaskPair.from_models(pruned, oracle)))
             iom_u.append(iom(MaskPair.from_models(model, oracle)))
-            ua_orig = evaluate(run.pruned, run.train_data,
+            ua_orig = evaluate(pruned, run.train_data,
                                run.split.forget_indices)[1]
             ua_oracle = evaluate(oracle, run.train_data,
                                  run.split.forget_indices)[1]
@@ -221,14 +214,14 @@ def test_criterion_05_sparsity_restoration():
                            f"{elapsed:.1f}s")
 
 
-def test_criterion_06_kl_ground_truth(ref_runs, ref_oracles):
+def test_criterion_06_kl_ground_truth(ref_cfg, ref_runs, ref_oracles):
     """Self-KL is exactly 0; KL(original, oracle) non-decreasing in sparsity."""
     oracle = ref_oracles[(0, 0.6)]
     self_kl = kl_masked_weights(oracle, oracle)
     assert self_kl == 0.0
     wins = 0
     per_seed = []
-    for seed in REFERENCE_SEEDS:
+    for seed in ref_cfg.seeds:
         kls = []
         for sparsity in (0.4, 0.6, 0.95):
             pruned = ref_runs[seed].dense.clone()
@@ -241,15 +234,17 @@ def test_criterion_06_kl_ground_truth(ref_runs, ref_oracles):
                            f"seeds ({'; '.join(per_seed)})")
 
 
-def test_criterion_07_init_strategy_ordering(ref_runs, ref_oracles):
+def test_criterion_07_init_strategy_ordering(ref_cfg, ref_runs, ref_oracles):
     """Original-initialization un-pruning matches or beats random init on IoM."""
     means = {}
+    sparsity = ref_cfg.sparsities[0]
     for strategy in ("original", "random"):
         values = []
-        for seed in REFERENCE_SEEDS:
+        for seed in ref_cfg.seeds:
             run = ref_runs[seed]
-            model = run.pruned.clone()
-            cfg = reference_unprune_config("gradient_ascent", strategy)
+            model = run.pruned[sparsity].clone()
+            cfg = replace(ref_cfg, init_strategy=strategy).unprune_config(
+                "gradient_ascent", sparsity)
             model, _ = unprune(model, run.train_data, run.split, cfg,
                                SeededRng(seed).split("unprune/gradient_ascent"),
                                test_data=run.test_data)
@@ -267,15 +262,16 @@ def test_criterion_07_init_strategy_ordering(ref_runs, ref_oracles):
     assert _verdict(7, ok, detail)
 
 
-def test_criterion_08_running_time_ordering(ref_runs):
+def test_criterion_08_running_time_ordering(ref_cfg, ref_runs):
     """Un-pruning (GA, T=3) costs at most half of retraining+repruning."""
     run = ref_runs[0]
+    sparsity = ref_cfg.sparsities[0]
     t0 = time.perf_counter()
-    retrain_reprune(run.train_data, run.split, REF_DIMS, REF_TRAIN,
-                    REF_SPARSITY, 0)
+    retrain_reprune(run.train_data, run.split, ref_cfg.arch_dims(),
+                    ref_cfg.train, sparsity, 0)
     oracle_wall = time.perf_counter() - t0
-    model = run.pruned.clone()
-    cfg = reference_unprune_config("gradient_ascent")
+    model = run.pruned[sparsity].clone()
+    cfg = ref_cfg.unprune_config("gradient_ascent", sparsity)
     t0 = time.perf_counter()
     unprune(model, run.train_data, run.split, cfg,
             SeededRng(0).split("unprune/gradient_ascent"),
@@ -287,7 +283,7 @@ def test_criterion_08_running_time_ordering(ref_runs):
                            f"{unprune_wall / oracle_wall:.3f})")
 
 
-def test_criterion_09_mia_fragility(ref_runs):
+def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
     """Shadow-ratio sweep swings correctness >= 0.2; chance at ratio 1.0."""
     run = ref_runs[0]
     ratios = [round(0.8 + 0.05 * i, 2) for i in range(9)]
@@ -303,7 +299,7 @@ def test_criterion_09_mia_fragility(ref_runs):
     train = gen_blobs(rng.split("data-train"), 200, 2, 2, 0.5)
     test = gen_blobs(rng.split("data-test"), 250, 2, 2, 0.5)
     split = split_delete(train, 0.25, rng.split("delete"))
-    model = build_model(REF_DIMS, 100)
+    model = build_model(ref_cfg.arch_dims(), 100)
     train_with_cfg(model, train, np.arange(train.n), TrainCfg(300, 0.5, 400),
                    SeededRng(100).split("train"))
     report = mia_evaluate(model, train, split.forget_indices, test,
@@ -328,9 +324,9 @@ REFERENCE_GRID_SHA256 = {
 }
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(ref_cfg, tmp_path):
     """Two runs of the reference grid emit byte-identical CSV and JSON."""
-    cfg = reference_config(record_timing=False)
+    cfg = replace(ref_cfg, record_timing=False)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     from unprune.experiment import run_experiment
 
@@ -350,26 +346,29 @@ def test_criterion_10_determinism(tmp_path):
                             f"({len(report_a.rows)} rows)")
 
 
-def test_criterion_11_structured_variant(struct_runs, struct_oracles):
+def test_criterion_11_structured_variant(struct_cfg, struct_runs,
+                                        struct_oracles):
     """Neuron-level analogues of criteria 4-5 on the 2-32-32-2 network."""
     all_ok = True
     details = []
+    sparsity = struct_cfg.sparsities[0]
     for method in ("gradient_ascent", "finetune"):
         iom_orig, iom_u, gap_orig, gap_u = [], [], [], []
-        for seed in REFERENCE_SEEDS:
+        for seed in struct_cfg.seeds:
             run = struct_runs[seed]
+            pruned = run.pruned[sparsity]
             oracle = struct_oracles[seed]
-            model = run.pruned.clone()
-            cfg = structured_unprune_config(method)
-            pruned_counts = [int(m.size - m.sum()) for m in run.pruned.masks]
+            model = pruned.clone()
+            cfg = struct_cfg.unprune_config(method, sparsity)
+            pruned_counts = [int(m.size - m.sum()) for m in pruned.masks]
             model, _ = unprune(model, run.train_data, run.split, cfg,
                                SeededRng(seed).split("up"),
                                mode="structured", test_data=run.test_data)
             # Criterion 5 analogue: per-layer pruned counts restored exactly.
             assert [int(m.size - m.sum()) for m in model.masks] == pruned_counts
-            iom_orig.append(iom(MaskPair.from_neuron_masks(run.pruned, oracle)))
+            iom_orig.append(iom(MaskPair.from_neuron_masks(pruned, oracle)))
             iom_u.append(iom(MaskPair.from_neuron_masks(model, oracle)))
-            ua_orig = evaluate(run.pruned, run.train_data,
+            ua_orig = evaluate(pruned, run.train_data,
                                run.split.forget_indices)[1]
             ua_oracle = evaluate(oracle, run.train_data,
                                  run.split.forget_indices)[1]

@@ -215,17 +215,16 @@ def test_growth_legality_and_restoration_structured():
     assert all(len(g) > 0 for g in trace.grown)
 
 
-def test_mask_change_capability(ref_runs, ref_oracles):
+def test_mask_change_capability(ref_cfg, ref_runs, ref_oracles):
     # With a non-noop unlearner the output mask differs from the input mask.
-    from unprune.reference import reference_unprune_config
-
     run = ref_runs[0]
-    model = run.pruned.clone()
-    cfg = reference_unprune_config("gradient_ascent")
+    pruned = run.pruned[ref_cfg.sparsities[0]]
+    model = pruned.clone()
+    cfg = ref_cfg.unprune_config("gradient_ascent", ref_cfg.sparsities[0])
     model, _ = unprune(model, run.train_data, run.split, cfg,
                        SeededRng(0).split("unprune/gradient_ascent"),
                        test_data=run.test_data)
-    assert not np.array_equal(model.flat_masks(), run.pruned.flat_masks())
+    assert not np.array_equal(model.flat_masks(), pruned.flat_masks())
 
 
 @given(st.integers(0, 10_000))

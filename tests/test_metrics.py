@@ -143,14 +143,6 @@ def test_kl_degenerate_variance_floored_and_flagged():
         assert kl_masked_weights(a, b) == 0.0
 
 
-def test_kl_histogram_estimator():
-    a, b = random_model(3), random_model(4)
-    assert kl_masked_weights(a, a, estimator="histogram") == 0.0
-    assert kl_masked_weights(a, b, estimator="histogram") >= 0.0
-    with pytest.raises(InputError):
-        kl_masked_weights(a, b, estimator="parzen")
-
-
 def test_kl_architecture_mismatch():
     a = random_model(1, dims=(3, 6, 3))
     b = random_model(1, dims=(3, 7, 3))
@@ -194,7 +186,8 @@ def test_bound_proxy_lambda_floor():
 
 def test_bound_proxy_on_real_fisher(ref_runs):
     run = ref_runs[0]
-    fisher = fisher_diag(run.pruned, run.train_data, run.split.forget_indices)
-    rep = bound_proxy(run.pruned, 3e-4, 40, fisher)
+    pruned = run.pruned[0.6]
+    fisher = fisher_diag(pruned, run.train_data, run.split.forget_indices)
+    rep = bound_proxy(pruned, 3e-4, 40, fisher)
     assert rep.value > 0.0
     assert rep.lambda_hat >= 1.0

@@ -125,20 +125,6 @@ def test_label_permutation_sanity(trained):
         assert abs(np.mean(values) - 0.5) <= 0.1, channel
 
 
-def test_logistic_attacker_option(trained):
-    model, train, test, split = trained
-    args = (model, train, split.forget_indices, test, np.arange(test.n))
-    report = mia_evaluate(*args, ratio=1.0, rng=SeededRng(8),
-                          attacker="logistic")
-    for channel in CHANNELS:
-        assert 0.0 <= report.score(channel) <= 1.0
-    again = mia_evaluate(*args, ratio=1.0, rng=SeededRng(8),
-                         attacker="logistic")
-    assert report == again
-    with pytest.raises(InputError):
-        mia_evaluate(*args, ratio=1.0, rng=SeededRng(8), attacker="forest")
-
-
 def test_sweep_csv(tmp_path, trained):
     model, train, test, split = trained
     reports = ratio_sweep(model, train, split.forget_indices, test,

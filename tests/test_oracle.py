@@ -88,7 +88,7 @@ def test_oracle_diverges_from_original(ref_runs, ref_oracles):
     # lands on a visibly different mask even from the same seed.
     values = []
     for seed, run in ref_runs.items():
-        pair = MaskPair.from_models(run.pruned, ref_oracles[(seed, 0.6)])
+        pair = MaskPair.from_models(run.pruned[0.6], ref_oracles[(seed, 0.6)])
         value = iou(pair)
         assert not math.isnan(value)
         values.append(value)
@@ -122,6 +122,15 @@ def test_structured_imp_rounds_rejected(small_task):
     with pytest.raises(InputError, match="imp_rounds"):
         retrain_reprune(train, split, [2, 10, 10, 2], cfg, 0.5, 60,
                         mode="structured", imp_rounds=3)
+
+
+def test_imp_rounds_below_one_rejected(small_task):
+    # 0 and -3 would otherwise train one round under their own cache keys.
+    train, split, cfg = small_task
+    for rounds in (0, -3):
+        with pytest.raises(InputError, match="imp_rounds"):
+            retrain_reprune(train, split, [2, 10, 2], cfg, 0.5, 60,
+                            imp_rounds=rounds)
 
 
 def test_corrupt_cache_file_is_retrained(tmp_path, small_task):

@@ -94,7 +94,7 @@ def test_gradient_ascent_first_order_taylor(task):
 
 def test_gradient_ascent_drops_forget_accuracy(ref_runs):
     run = ref_runs[0]
-    m = run.pruned.clone()
+    m = run.pruned[0.6].clone()
     ua_before = evaluate(m, run.train_data, run.split.forget_indices)[1]
     unlearn_gradient_ascent(m, run.train_data, run.split.forget_indices, 50, 1e-3)
     ua_after = evaluate(m, run.train_data, run.split.forget_indices)[1]
