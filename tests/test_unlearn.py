@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from unprune.model import backward, init_model, mlp_specs
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.prune import prune_magnitude
-from unprune.train import TrainCfg, evaluate, train_with_cfg
+from unprune.train import TrainCfg, evaluate, train_sgd, train_with_cfg
 from unprune.unlearn import (
     METHODS,
     UnlearnConfig,
@@ -241,3 +243,42 @@ def test_empty_row_sets_rejected(task):
         unlearn_gradient_ascent(model.clone(), train, np.array([], dtype=int), 1, 1e-3)
     with pytest.raises(InputError):
         fisher_diag(model, train, np.array([], dtype=int))
+
+
+def _digest_update(h, arrays):
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+
+
+# SHA-256 over every gradient path on reference seed 0 at 60% sparsity:
+# the diagonal Fisher, the three non-noop unlearners (masked and dense,
+# minibatch with and without a reshuffle, full batch) and minibatch
+# training with its log. A change that moves these numbers must re-pin
+# them and say why.
+GRADIENT_PATHS_SHA256 = (
+    "c3ab16e040d8c67df2b197cfd8a2c4bff43a02dcd4fe41d5c8e055b0f2204f57")
+
+
+def test_gradient_paths_pinned(ref_runs):
+    run = ref_runs[0]
+    pruned, data, split = run.pruned[0.6], run.train_data, run.split
+    h = hashlib.sha256()
+    for rows in (split.retain_indices, split.forget_indices):
+        for dense in (False, True):
+            fisher = fisher_diag(pruned, data, rows, dense=dense)
+            _digest_update(h, fisher.weights + fisher.biases)
+    for method in ("fisher_forgetting", "gradient_ascent", "finetune"):
+        for dense in (False, True):
+            for batch_size in (16, 64, 400):
+                cfg = UnlearnConfig(method=method, steps=7, rate=0.05,
+                                    fisher_noise_scale=1e-3,
+                                    batch_size=batch_size)
+                m = unlearn(pruned.clone(), split, data, cfg, SeededRng(0),
+                            dense=dense)
+                _digest_update(h, m.weights + m.biases)
+    m = pruned.clone()
+    log = train_sgd(m, data, split.retain_indices, 3, 0.1, 64,
+                    SeededRng(0).split("pin"))
+    _digest_update(h, m.weights + m.biases)
+    h.update(repr(log.rows).encode())
+    assert h.hexdigest() == GRADIENT_PATHS_SHA256
