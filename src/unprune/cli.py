@@ -2,7 +2,7 @@
 
 Subcommands: train, prune, oracle, unprune, evaluate, mia-sweep, run, plot.
 Exit codes: 0 full success, 1 config error, 2 partial cell failures.
-The environment variable UNPRUNE_OUT overrides the output directory.
+The output directory is UNPRUNE_OUT if set, else --out, else [run] out.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
-from .core import topology, unprune
+from .core import topology
 from .errors import ConfigError
 from .experiment import (
     _prune_to,
     build_data,
+    cell_unprune,
     emit_scatter,
     prepare_seed,
     report_from_json,
@@ -36,8 +37,8 @@ from .train import evaluate
 DEFAULT_MIA_RATIOS = tuple(round(0.8 + 0.05 * i, 2) for i in range(9))
 
 
-def _out_dir(args) -> str:
-    out = os.environ.get("UNPRUNE_OUT") or args.out
+def _out_dir(cfg: ExperimentConfig, args) -> str:
+    out = os.environ.get("UNPRUNE_OUT") or args.out or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -50,7 +51,7 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
     train_data, _, _, model, log, *_ = prepare_seed(cfg, seed)
     snap = os.path.join(out, f"model_seed{seed}.bin")
@@ -62,7 +63,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_prune(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
     sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
     if args.model:
@@ -79,7 +80,7 @@ def cmd_prune(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_oracle(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
     sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
     train_data, _, split = build_data(cfg, seed)
@@ -96,17 +97,14 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_unprune(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
     sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
     method = args.method or cfg.methods[0]
-    train_data, test_data, split, model, *_ = prepare_seed(cfg, seed)
-    _prune_to(model, cfg, sparsity)
-    _, trace = unprune(
-        model, train_data, split, cfg.unprune_config(method, sparsity),
-        SeededRng(seed).split(f"unprune/{method}/{sparsity!r}"),
-        mode=cfg.prune_mode, test_data=test_data, scope=cfg.scope,
-    )
+    setup = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed)
+    model = setup.pruned[sparsity]
+    trace = cell_unprune(cfg, seed, sparsity, method, model, setup.train_data,
+                         setup.test_data, setup.split)
     snap = os.path.join(out, f"unpruned_seed{seed}_s{sparsity:g}_{method}.bin")
     save_snapshot(model, snap)
     trace_path = os.path.join(out, f"trace_seed{seed}_s{sparsity:g}_{method}.csv")
@@ -139,7 +137,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
     if args.model:
         model = load_snapshot(args.model)
@@ -178,7 +176,7 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(cfg, args)
     report = run_experiment(cfg, out_dir=out)
     print(f"run: {len(report.rows)} rows, {len(report.errors)} failed cells "
           f"-> {os.path.join(out, 'results.csv')}")
@@ -189,7 +187,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_plot(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(cfg, args)
     results = args.results or os.path.join(out, "results.json")
     report = report_from_json(results)
     path = os.path.join(out, f"scatter_{args.x}_{args.y}.svg")
@@ -218,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default="results", help="output directory")
+        p.add_argument("--out", default="",
+                       help="output directory (default: [run] out)")
         p.add_argument("--seeds", default="", help="override seed list (CSV)")
         if name in ("prune", "oracle", "unprune"):
             p.add_argument("--sparsity", type=float, default=None)

@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .train import TrainCfg
 from .unlearn import METHODS, UnlearnConfig
 
-_UNLEARN_KEYS = {"steps", "rate", "fisher_noise_scale", "batch_size", "fisher_on"}
+_UNLEARN_KEYS = {"steps", "rate", "fisher_noise_scale", "batch_size"}
 
 _SCHEMA: dict[str, set[str]] = {
     "dataset": {
@@ -28,7 +28,7 @@ _SCHEMA: dict[str, set[str]] = {
     "prune": {"mode", "sparsities", "scope"},
     "unprune": {"grow_per_iter", "iterations", "init", "random_init_std"},
     "unlearn": {"methods"} | _UNLEARN_KEYS,
-    "oracle": {"rewind", "imp_rounds", "cache"},
+    "oracle": {"imp_rounds", "cache"},
     "mia": {"ratios"},
     "run": {"seeds", "out", "record_timing"},
 }
@@ -67,7 +67,6 @@ class ExperimentConfig:
     unlearn_defaults: UnlearnConfig = field(default_factory=UnlearnConfig)
     unlearn_overrides: dict = field(default_factory=dict)
     # oracle
-    oracle_rewind: bool = False
     imp_rounds: int = 1
     oracle_cache: bool = True
     # mia
@@ -134,7 +133,7 @@ def _parse_value(section: str, key: str, raw: str):
         if key in {"spread", "lr", "ratio", "grow_per_iter", "random_init_std",
                    "rate", "fisher_noise_scale"}:
             return float(raw)
-        if key in {"rewind", "cache", "record_timing"}:
+        if key in {"cache", "record_timing"}:
             if raw.lower() not in ("true", "false"):
                 raise ValueError(raw)
             return raw.lower() == "true"
@@ -195,11 +194,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 values["prune_mode"] = value
             elif section == "unprune" and key == "init":
                 values["init_strategy"] = value
-            elif section == "oracle":
-                values[
-                    {"rewind": "oracle_rewind", "cache": "oracle_cache",
-                     "imp_rounds": "imp_rounds"}[key]
-                ] = value
+            elif section == "oracle" and key == "cache":
+                values["oracle_cache"] = value
             elif section == "mia" and key == "ratios":
                 values["mia_ratios"] = value
             elif section == "run" and key == "out":

@@ -173,17 +173,28 @@ def _backward_from_trace(
     """Parameter gradients from a ``_forward_trace`` and the logit gradient."""
     g_w = [None] * len(model.layers)
     g_b = [None] * len(model.layers)
-    for l in range(len(model.layers) - 1, -1, -1):
-        g_w[l] = matmul(delta.T, acts[l])
+    for l, d in _layer_deltas(model, pre, delta, masked):
+        g_w[l] = matmul(d.T, acts[l])
         if masked:
             g_w[l] *= model.masks[l]
-        g_b[l] = delta.sum(axis=0)
+        g_b[l] = d.sum(axis=0)
+    return GradientSet(weights=g_w, biases=g_b)
+
+
+def _layer_deltas(model: MaskedModel, pre: list[np.ndarray], delta: np.ndarray,
+                  masked: bool):
+    """Yield ``(l, delta)`` from the last layer down: the ReLU recursion.
+
+    ``delta`` is the loss gradient at layer ``l``'s pre-activation; the caller
+    uses it before the next is made, so matmuls run dW(L-1), dX(L-1), ...
+    """
+    for l in range(len(model.layers) - 1, -1, -1):
+        yield l, delta
         if l > 0:
             w_eff = model.weights[l] * model.masks[l] if masked else model.weights[l]
             delta = matmul(delta, w_eff)
             if model.layers[l - 1].activation == "relu":
                 delta *= pre[l - 1] > 0.0
-    return GradientSet(weights=g_w, biases=g_b)
 
 
 def apply_mask(model: MaskedModel) -> MaskedModel:

@@ -1,9 +1,10 @@
 """The gold standard: retrain from scratch on retained data, then re-prune.
 
-The oracle reuses the run's architecture and seed discipline (fresh init
-from the same seed by default; an optional rewind flag copies the original
-model's init snapshot instead). Oracle snapshots are cached under a content
-hash of (dataset, split, config), so repeated comparisons skip the retrain.
+The oracle reuses the run's architecture and seed discipline: a fresh init
+from the same seed, which is the original model's init (``rewind_from``
+starts it from another model's init snapshot instead). Oracle snapshots are
+cached under a content hash of (dataset, split, config), so repeated
+comparisons skip the retrain.
 """
 
 from __future__ import annotations

@@ -41,12 +41,6 @@ class TrainLog:
     def record(self, epoch: int, split: str, loss: float, accuracy: float) -> None:
         self.rows.append((epoch, split, float(loss), float(accuracy)))
 
-    def final_loss(self) -> float:
-        return self.rows[-1][2]
-
-    def final_accuracy(self) -> float:
-        return self.rows[-1][3]
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -113,32 +107,34 @@ def train_sgd(
                 log.record(epoch - 1, "train", loss, accuracy)
             with _diverged_at(epoch):
                 grads = _backward_from_trace(model, acts, pre, delta, masked=True)
-                _sgd_step(model, grads, lr)
+                sgd_step(model, grads, lr)
+                apply_mask(model)
         else:
             with _diverged_at(epoch):
                 for start in range(0, len(order), batch_size):
                     _, grads = backward(model, x[start:start + batch_size],
                                         y[start:start + batch_size])
-                    _sgd_step(model, grads, lr)
+                    sgd_step(model, grads, lr)
+                    apply_mask(model)
         if full_batch and epoch < epochs - 1:
             continue
         with _diverged_at(epoch):
             loss, accuracy = evaluate(model, dataset, indices)
-        if not np.isfinite(loss):
-            raise NumericError(f"training diverged at epoch {epoch}")
         log.record(epoch, "train", loss, accuracy)
     return log
 
 
-def _sgd_step(model: MaskedModel, grads: GradientSet, lr: float) -> None:
-    """One in-place descent step; consumes ``grads`` as scratch space."""
+def sgd_step(model: MaskedModel, grads: GradientSet, rate: float) -> None:
+    """One in-place step ``theta -= rate * grad``; a negative rate ascends.
+
+    Consumes ``grads`` as scratch space and leaves the mask to the caller.
+    """
     for w, b, gw, gb in zip(model.weights, model.biases, grads.weights,
                             grads.biases):
-        gw *= lr
+        gw *= rate
         w -= gw
-        gb *= lr
+        gb *= rate
         b -= gb
-    apply_mask(model)
 
 
 @contextmanager

@@ -16,14 +16,16 @@ ignores masks entirely, which is what the loop uses after re-initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, DeletionSplit
-from .errors import ConfigError, InputError, NumericError
-from .model import GradientSet, MaskedModel, _forward_trace, backward
+from .errors import ConfigError, InputError
+from .model import GradientSet, MaskedModel, _forward_trace, _layer_deltas, backward
 from .numeric import SeededRng, matmul, softmax
+from .train import sgd_step
 
 METHODS = ("noop", "gradient_ascent", "fisher_forgetting", "finetune")
 
@@ -37,13 +39,10 @@ class UnlearnConfig:
     rate: float = 1e-3
     fisher_noise_scale: float = 1e-3
     batch_size: int = 64
-    fisher_on: str = "retain"  # which rows the Fisher is estimated on
 
     def validate(self) -> "UnlearnConfig":
         if self.method not in METHODS:
             raise ConfigError(f"unknown unlearning method {self.method!r}")
-        if self.fisher_on not in ("retain", "forget", "all"):
-            raise ConfigError(f"unknown fisher_on {self.fisher_on!r}")
         if self.method != "noop":
             if self.steps < 1:
                 raise ConfigError("steps must be >= 1 for non-noop methods")
@@ -52,13 +51,12 @@ class UnlearnConfig:
         return self
 
 
-def _ascend(model: MaskedModel, grads: GradientSet, rate: float) -> None:
-    """One in-place ascent step; consumes ``grads`` as scratch space."""
-    for w, b, gw, gb in zip(model.weights, model.biases, grads.weights, grads.biases):
-        gw *= rate
-        w += gw
-        gb *= rate
-        b += gb
+def _descend(model: MaskedModel, batches, rate: float, dense: bool) -> MaskedModel:
+    """One ``sgd_step`` on the loss of each ``(inputs, labels)`` batch, in place."""
+    for x, y in batches:
+        _, grads = backward(model, x, y, masked=not dense)
+        sgd_step(model, grads, rate)
+    return model
 
 
 def unlearn_gradient_ascent(
@@ -73,14 +71,8 @@ def unlearn_gradient_ascent(
     forget_rows = np.asarray(forget_rows, dtype=np.int64)
     if len(forget_rows) == 0:
         raise InputError("forget row set is empty")
-    x = dataset.inputs[forget_rows]
-    y = dataset.labels[forget_rows]
-    for step in range(steps):
-        loss, grads = backward(model, x, y, masked=not dense)
-        if not np.isfinite(loss):
-            raise NumericError(f"gradient ascent diverged at step {step}")
-        _ascend(model, grads, rate)
-    return model
+    batch = (dataset.inputs[forget_rows], dataset.labels[forget_rows])
+    return _descend(model, itertools.repeat(batch, steps), -rate, dense)
 
 
 def fisher_diag(
@@ -107,16 +99,11 @@ def fisher_diag(
     n = float(len(rows))
     f_w = [None] * len(model.layers)
     f_b = [None] * len(model.layers)
-    for l in range(len(model.layers) - 1, -1, -1):
-        f_w[l] = matmul((delta ** 2).T, acts[l] ** 2) / n
+    for l, d in _layer_deltas(model, pre, delta, masked=not dense):
+        f_w[l] = matmul((d ** 2).T, acts[l] ** 2) / n
         if not dense:
-            f_w[l] = f_w[l] * model.masks[l]
-        f_b[l] = (delta ** 2).mean(axis=0)
-        if l > 0:
-            w_eff = model.weights[l] * model.masks[l] if not dense else model.weights[l]
-            delta = matmul(delta, w_eff)
-            if model.layers[l - 1].activation == "relu":
-                delta = delta * (pre[l - 1] > 0.0)
+            f_w[l] *= model.masks[l]
+        f_b[l] = (d ** 2).mean(axis=0)
     return GradientSet(weights=f_w, biases=f_b)
 
 
@@ -127,23 +114,17 @@ def unlearn_fisher_forgetting(
     noise_scale: float,
     rng: SeededRng,
     dense: bool = False,
-    fisher_on: str = "retain",
 ) -> MaskedModel:
     """Scrub by Fisher-scaled Gaussian noise: theta_i += N(0, s^2/(F_ii+eps)).
 
-    The Fisher defaults to the retain set (the scrubbing convention), so
+    The Fisher is estimated on the retain set (the scrubbing convention), so
     parameters that matter for retained data receive less noise.
     """
     if noise_scale < 0:
         raise InputError(f"noise scale must be >= 0, got {noise_scale}")
     if noise_scale == 0:
         return model
-    rows = {
-        "retain": split.retain_indices,
-        "forget": split.forget_indices,
-        "all": np.arange(dataset.n),
-    }[fisher_on]
-    fisher = fisher_diag(model, dataset, rows, dense=dense)
+    fisher = fisher_diag(model, dataset, split.retain_indices, dense=dense)
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         std_w = noise_scale / np.sqrt(fisher.weights[l] + FISHER_EPS)
         noise_w = rng.normal(w.size, 0.0, 1.0).reshape(w.shape) * std_w
@@ -171,30 +152,29 @@ def unlearn_finetune(
         raise InputError("retain row set is empty")
     if batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {batch_size}")
-    full_batch = batch_size >= len(retain_rows)
-    order = retain_rows[rng.permutation(len(retain_rows))]
+    batches = _retain_batches(dataset, retain_rows, steps, batch_size, rng)
+    return _descend(model, batches, rate, dense)
+
+
+def _retain_batches(dataset: Dataset, rows: np.ndarray, steps: int,
+                    batch_size: int, rng: SeededRng):
+    """Finetune's batches: all rows, or slices of a reshuffled permutation.
+
+    The first shuffle is drawn even when all rows fit, as it always was.
+    """
+    full_batch = batch_size >= len(rows)
+    order = rows[rng.permutation(len(rows))]
     cursor = 0
-    for step in range(steps):
+    for _ in range(steps):
         if full_batch:
-            batch = retain_rows
+            batch = rows
         else:
             if cursor + batch_size > len(order):
-                order = retain_rows[rng.permutation(len(retain_rows))]
+                order = rows[rng.permutation(len(rows))]
                 cursor = 0
             batch = order[cursor:cursor + batch_size]
             cursor += batch_size
-        loss, grads = backward(model, dataset.inputs[batch], dataset.labels[batch],
-                               masked=not dense)
-        if not np.isfinite(loss):
-            raise NumericError(f"finetune diverged at step {step}")
-        for w, b, gw, gb in zip(
-            model.weights, model.biases, grads.weights, grads.biases
-        ):
-            gw *= rate
-            w -= gw
-            gb *= rate
-            b -= gb
-    return model
+        yield dataset.inputs[batch], dataset.labels[batch]
 
 
 def unlearn(
@@ -216,7 +196,7 @@ def unlearn(
     if config.method == "fisher_forgetting":
         return unlearn_fisher_forgetting(
             model, split, dataset, config.fisher_noise_scale,
-            rng.split("fisher-noise"), dense, config.fisher_on,
+            rng.split("fisher-noise"), dense,
         )
     if config.method == "finetune":
         return unlearn_finetune(

@@ -89,6 +89,13 @@ def test_bad_values_rejected():
         replace(parse_config_text(""), jobs=2).validate()
 
 
+def test_rewind_key_rejected():
+    # The oracle already starts from the original model's init, so a rewind
+    # to it changed nothing but the cache key.
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text("[oracle]\nrewind = true\n")
+
+
 def test_structured_imp_rounds_rejected():
     with pytest.raises(ConfigError, match="imp_rounds"):
         parse_config_text("[prune]\nmode = structured\n"
@@ -280,6 +287,33 @@ def test_cli_env_var_overrides_out(tmp_path, monkeypatch):
     assert main(["run", "--config", str(config_path), "--out",
                  str(tmp_path / "ignored")]) == 0
     assert (target / "results.csv").exists()
+
+
+def test_cli_out_falls_back_to_config(tmp_path, monkeypatch):
+    # Precedence: UNPRUNE_OUT, then --out, then [run] out.
+    monkeypatch.delenv("UNPRUNE_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG.replace(
+        "[run]\n", f"[run]\nout = {tmp_path / 'cfg-out'}\n"))
+    assert main(["train", "--config", str(config_path)]) == 0
+    assert (tmp_path / "cfg-out" / "model_seed0.bin").exists()
+    assert main(["train", "--config", str(config_path), "--out",
+                 str(tmp_path / "flag-out")]) == 0
+    assert (tmp_path / "flag-out" / "model_seed0.bin").exists()
+    assert not (tmp_path / "results").exists()
+
+
+def test_cli_unprune_trace_equals_grid_trace(tiny_report, tmp_path):
+    # The unprune subcommand runs the same cell as the grid, byte for byte.
+    _, _, grid_out = tiny_report
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    out = tmp_path / "cell"
+    assert main(["unprune", "--config", str(config_path), "--out", str(out),
+                 "--method", "finetune"]) == 0
+    name = "trace_seed0_s0.5_finetune.csv"
+    assert (out / name).read_bytes() == (grid_out / "traces" / name).read_bytes()
 
 
 def test_cli_seeds_override(tmp_path):

@@ -232,8 +232,6 @@ def test_config_validation():
         UnlearnConfig(method="gradient_ascent", steps=0).validate()
     with pytest.raises(ConfigError):
         UnlearnConfig(method="finetune", rate=0.0).validate()
-    with pytest.raises(ConfigError):
-        UnlearnConfig(method="noop", fisher_on="test").validate()
     UnlearnConfig(method="noop").validate()
 
 
