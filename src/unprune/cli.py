@@ -1,7 +1,8 @@
 """Command-line entry point: every pipeline stage independently invocable.
 
 Subcommands: train, prune, oracle, unprune, evaluate, mia-sweep, run, plot.
-Exit codes: 0 full success, 1 config error, 2 partial cell failures.
+Exit codes: 0 full success, 1 a config, argument or input-file error,
+2 partial cell failures.
 The output directory is UNPRUNE_OUT if set, else --out, else [run] out.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .config import ExperimentConfig, parse_config
 from .core import topology
-from .errors import ConfigError
+from .errors import ConfigError, FormatError, InputError
 from .experiment import (
     _prune_to,
     build_data,
@@ -44,9 +45,12 @@ def _out_dir(cfg: ExperimentConfig, args) -> str:
 
 
 def _load_cfg(args) -> ExperimentConfig:
+    """The config with --seeds and --sparsity applied, validated before any work."""
     cfg = parse_config(args.config)
     if args.seeds:
         cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
+    if getattr(args, "sparsity", None) is not None:
+        cfg = replace(cfg, sparsities=(args.sparsity,))
     return cfg.validate()
 
 
@@ -65,12 +69,13 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 def cmd_prune(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
-    sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
+    sparsity = cfg.sparsities[0]
     if args.model:
         model = load_snapshot(args.model)
+        _prune_to(model, cfg, sparsity)
     else:
-        model = prepare_seed(cfg, seed).dense
-    _prune_to(model, cfg, sparsity)
+        model = prepare_seed(replace(cfg, sparsities=(sparsity,)),
+                             seed).pruned[sparsity]
     report = sparsity_of(model)
     snap = os.path.join(out, f"pruned_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
@@ -82,7 +87,7 @@ def cmd_prune(cfg: ExperimentConfig, args) -> int:
 def cmd_oracle(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
-    sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
+    sparsity = cfg.sparsities[0]
     train_data, _, split = build_data(cfg, seed)
     cache = os.path.join(out, "oracle_cache") if cfg.oracle_cache else None
     model, wall, hit = cached_oracle(
@@ -99,7 +104,7 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
 def cmd_unprune(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
-    sparsity = args.sparsity if args.sparsity is not None else cfg.sparsities[0]
+    sparsity = cfg.sparsities[0]
     method = args.method or cfg.methods[0]
     setup = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed)
     model = setup.pruned[sparsity]
@@ -245,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (InputError, FormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -84,9 +84,6 @@ class UnpruneTrace:
             (int(iteration), float(sparsity), float(ua), float(ta), int(grown_count))
         )
 
-    def sparsity_sequence(self) -> list[float]:
-        return [self.initial_sparsity] + [r[1] for r in self.rows]
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -4,11 +4,21 @@ All tensors are plain numpy float64 arrays in row-major order. Randomness
 goes through ``SeededRng``, a counter-based (Philox) stream that can be
 split into independent named sub-streams, so that e.g. the deletion split,
 the weight init and the scrubbing noise never share state.
+
+``matmul`` is the package's only BLAS call. It runs each product on one
+OpenBLAS thread: the products are small (the largest on the shipped tasks is
+800 x 32 x 32), and on two cores a second thread doubled a run's CPU time
+without shortening its wall time. OpenBLAS splits a product across threads
+by output blocks, never along the reduction, so the result is the same bit
+for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
+import os
 
 import numpy as np
 
@@ -61,16 +71,55 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS.
+
+    Without a bundled OpenBLAS that exports them, a getter that reports one
+    thread and a setter that does nothing, so ``matmul`` leaves the BLAS
+    as it is.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return (lambda: 1), (lambda n: None)
+
+
+_BLAS_THREADS = _openblas_threads()
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-d float64 arrays."""
+    """Matrix product of two 2-d float64 arrays, on one BLAS thread.
+
+    The BLAS thread count is put back to what it was when the call returns
+    or raises. That count is process-wide, so calls from several Python
+    threads at once could restore it out of order; the package makes none.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
+    get_threads, set_threads = _BLAS_THREADS
+    threads = get_threads()
+    set_threads(1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a @ b
+    finally:
+        set_threads(threads)
     if not np.isfinite(out).all():
         raise NumericError("matmul produced non-finite values")
     return out

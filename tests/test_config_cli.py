@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from unprune import cli
 from unprune.cli import main
 from unprune.config import parse_config, parse_config_text
 from unprune.errors import ConfigError
@@ -15,9 +16,12 @@ from unprune.experiment import (
     emit_csv,
     emit_json,
     emit_scatter,
+    prepare_seed,
     report_from_json,
     run_experiment,
 )
+from unprune.model import save_snapshot
+from unprune.oracle import build_model
 
 TINY_CONFIG = """
 [dataset]
@@ -277,6 +281,53 @@ def test_cli_config_error_exit_code(tmp_path):
     config_path.write_text("[dataset]\nkind = parquet\n")
     assert main(["run", "--config", str(config_path), "--out",
                  str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("command", ["prune", "oracle", "unprune"])
+@pytest.mark.parametrize("sparsity", ["1.5", "1", "0"])
+def test_cli_sparsity_outside_unit_interval_rejected_before_work(
+        tmp_path, monkeypatch, capsys, command, sparsity):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the model was built before --sparsity was checked")
+
+    monkeypatch.setattr(cli, "prepare_seed", no_work)
+    monkeypatch.setattr(cli, "build_data", no_work)
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    assert main([command, "--config", str(config_path), "--out",
+                 str(tmp_path / "o"), "--sparsity", sparsity]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: sparsity {float(sparsity)} outside (0, 1)\n"
+
+
+def test_cli_input_and_format_errors_exit_1(tmp_path, capsys):
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(b"not a snapshot")
+    assert main(["evaluate", "--config", str(config_path),
+                 "--model", str(corrupt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    wrong_input = tmp_path / "three_inputs.bin"
+    save_snapshot(build_model([3, 4, 2], 0), str(wrong_input))
+    assert main(["evaluate", "--config", str(config_path),
+                 "--model", str(wrong_input)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: inputs must be (batch, 3), got (6, 2)\n"
+
+
+def test_cli_prune_writes_the_grids_pruned_clone(tmp_path):
+    text = TINY_CONFIG.replace("sparsities = 0.5", "sparsities = 0.5,0.7")
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(text)
+    out = tmp_path / "pruned"
+    assert main(["prune", "--config", str(config_path), "--out", str(out),
+                 "--sparsity", "0.7"]) == 0
+    expected = tmp_path / "grid_clone.bin"
+    cfg = parse_config(str(config_path)).validate()
+    save_snapshot(prepare_seed(cfg, 0).pruned[0.7], str(expected))
+    assert (out / "pruned_seed0_s0.7.bin").read_bytes() == expected.read_bytes()
 
 
 def test_cli_env_var_overrides_out(tmp_path, monkeypatch):

@@ -158,7 +158,8 @@ def test_trace_sparsity_sequence_reference_shape():
     prune_magnitude(model, 0.6)
     cfg = UnpruneConfig(0.6, 0.05, 3, UnlearnConfig(method="noop"))
     model, trace = unprune(model, data, split, cfg, SeededRng(17))
-    assert trace.sparsity_sequence() == [0.6, 0.55, 0.5, 0.45]
+    sequence = [trace.initial_sparsity] + [row[1] for row in trace.rows]
+    assert sequence == [0.6, 0.55, 0.5, 0.45]
     assert trace.final_sparsity == 0.6
     assert [r[4] for r in trace.rows] == [112, 112, 112]
 

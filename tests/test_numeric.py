@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unprune import numeric
 from unprune.errors import InputError, NumericError, ShapeError
 from unprune.numeric import (
     SeededRng,
@@ -46,6 +47,70 @@ def test_matmul_non_finite_product_raises_without_warning(a, b):
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
             matmul(a, b)
+
+
+class RecordingThreads:
+    """Stands in for the BLAS thread-count handle and records every set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    fake = RecordingThreads(3)
+    monkeypatch.setattr(numeric, "_BLAS_THREADS", (fake.get, fake.set))
+    return fake
+
+
+def test_matmul_runs_on_one_thread_then_restores(threads):
+    a = np.arange(6, dtype=float).reshape(2, 3)
+    out = matmul(a, a.T)
+    assert np.array_equal(out, a @ a.T)
+    assert threads.sets == [1, 3]
+    assert threads.count == 3
+
+
+def test_matmul_restores_threads_after_numeric_error(threads):
+    with pytest.raises(NumericError):
+        matmul(np.full((2, 3), 1e300), np.full((3, 2), 1e10))
+    assert threads.sets == [1, 3]
+    assert threads.count == 3
+
+
+def test_matmul_restores_threads_after_shape_error(threads):
+    with pytest.raises(ShapeError):
+        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+    assert threads.count == 3
+
+
+def test_matmul_leaves_real_blas_thread_count_as_found():
+    get_threads, _ = numeric._BLAS_THREADS
+    before = get_threads()
+    matmul(np.ones((64, 32)), np.ones((32, 64)))
+    with pytest.raises(NumericError):
+        matmul(np.full((2, 3), np.inf), np.zeros((3, 2)))
+    assert get_threads() == before
+
+
+def test_matmul_without_openblas_handle_gives_same_product(monkeypatch, tmp_path):
+    missing = str(tmp_path / "libscipy_openblas64_-missing.so")
+    monkeypatch.setattr(numeric.glob, "glob", lambda pattern: [missing])
+    fallback = numeric._openblas_threads()
+    a = SeededRng(5).normal(40 * 7).reshape(40, 7)
+    b = SeededRng(6).normal(7 * 9).reshape(7, 9)
+    expected = matmul(a, b)
+    monkeypatch.setattr(numeric, "_BLAS_THREADS", fallback)
+    assert np.array_equal(matmul(a, b), expected)
+    assert fallback[0]() == 1
 
 
 def test_cross_entropy_uniform_logits():
