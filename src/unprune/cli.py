@@ -23,6 +23,7 @@ from .experiment import (
     build_data,
     cell_unprune,
     emit_scatter,
+    model_cache_dir,
     prepare_seed,
     report_from_json,
     run_experiment,
@@ -74,8 +75,8 @@ def cmd_prune(cfg: ExperimentConfig, args) -> int:
         model = load_snapshot(args.model)
         _prune_to(model, cfg, sparsity)
     else:
-        model = prepare_seed(replace(cfg, sparsities=(sparsity,)),
-                             seed).pruned[sparsity]
+        model = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed,
+                             model_cache_dir(cfg, out)).pruned[sparsity]
     report = sparsity_of(model)
     snap = os.path.join(out, f"pruned_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
@@ -89,10 +90,10 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     sparsity = cfg.sparsities[0]
     train_data, _, split = build_data(cfg, seed)
-    cache = os.path.join(out, "oracle_cache") if cfg.oracle_cache else None
     model, wall, hit = cached_oracle(
-        cache, train_data, split, cfg.arch_dims(), cfg.train, sparsity, seed,
-        cfg.prune_mode, cfg.scope, None, cfg.imp_rounds,
+        model_cache_dir(cfg, out), train_data, split, cfg.arch_dims(),
+        cfg.train, sparsity, seed, cfg.prune_mode, cfg.scope, None,
+        cfg.imp_rounds,
     )
     snap = os.path.join(out, f"oracle_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
@@ -106,7 +107,8 @@ def cmd_unprune(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     sparsity = cfg.sparsities[0]
     method = args.method or cfg.methods[0]
-    setup = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed)
+    setup = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed,
+                         model_cache_dir(cfg, out))
     model = setup.pruned[sparsity]
     trace = cell_unprune(cfg, seed, sparsity, method, model, setup.train_data,
                          setup.test_data, setup.split)
@@ -148,7 +150,8 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
         model = load_snapshot(args.model)
         train_data, test_data, split = build_data(cfg, seed)
     else:
-        train_data, test_data, split, model, *_ = prepare_seed(cfg, seed)
+        train_data, test_data, split, model, *_ = prepare_seed(
+            cfg, seed, model_cache_dir(cfg, out))
     if test_data is None:
         raise ConfigError("mia-sweep needs held-out test data as non-members")
     ratios = list(cfg.mia_ratios or DEFAULT_MIA_RATIOS)

@@ -1,8 +1,8 @@
 """Experiment orchestration: the full (seed x method x sparsity) grid.
 
-Per seed (``prepare_seed``): build the data, train the original model on
-the full data and prune one clone per sparsity. Then build (or load) the
-retrain+reprune oracle, then run every unlearning method through
+Per seed (``prepare_seed``): build the data, train (or load) the original
+model on the full data and prune one clone per sparsity. Then build (or
+load) the retrain+reprune oracle, then run every unlearning method through
 the un-pruning loop and score the result against both the oracle and the
 original. Rows are sorted before emission so the output never depends on
 execution order, and with timing recording disabled two runs of the same
@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from .model import MaskedModel
 from .numeric import SeededRng
-from .oracle import build_model, cached_oracle
+from .oracle import build_model, cached_model, cached_oracle, dense_key
 from .train import TrainLog, evaluate, train_with_cfg
 
 CSV_COLUMNS = ("seed", "method", "sparsity", "iom", "uom", "iou", "kl",
@@ -100,20 +100,35 @@ class SeedSetup(NamedTuple):
     test_data: Dataset | None
     split: DeletionSplit
     dense: MaskedModel                 # trained on all rows, not pruned
-    log: TrainLog
+    log: TrainLog | None               # None when dense came from the cache
     train_wall: float
     pruned: dict[float, MaskedModel]   # a pruned clone of dense per sparsity
     prune_wall: dict[float, float]
 
 
-def prepare_seed(cfg: ExperimentConfig, seed: int) -> SeedSetup:
-    """Build the data, train the original model and prune it, for one seed."""
+def prepare_seed(cfg: ExperimentConfig, seed: int,
+                 cache_dir: str | None = None) -> SeedSetup:
+    """Build the data, train the original model and prune it, for one seed.
+
+    With ``cache_dir`` the dense model is read from, or written to, the
+    model cache there; a hit trains nothing and returns no log.
+    """
     train_data, test_data, split = build_data(cfg, seed)
-    t0 = time.perf_counter()
-    dense = build_model(cfg.arch_dims(), seed)
-    log = train_with_cfg(dense, train_data, np.arange(train_data.n), cfg.train,
-                         SeededRng(seed).split("train"))
-    train_wall = time.perf_counter() - t0
+    log = None
+
+    def train() -> tuple[MaskedModel, float]:
+        nonlocal log
+        t0 = time.perf_counter()
+        dense = build_model(cfg.arch_dims(), seed)
+        log = train_with_cfg(dense, train_data, np.arange(train_data.n),
+                             cfg.train, SeededRng(seed).split("train"))
+        return dense, time.perf_counter() - t0
+
+    if cache_dir is None:
+        dense, train_wall = train()
+    else:
+        key = dense_key(train_data, cfg.arch_dims(), cfg.train, seed)
+        dense, train_wall, _ = cached_model(cache_dir, "dense", key, train)
     pruned, prune_wall = {}, {}
     for sparsity in cfg.sparsities:
         pruned[sparsity] = dense.clone()
@@ -180,20 +195,26 @@ def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, UnpruneTrace]:
     )
 
 
+def model_cache_dir(cfg: ExperimentConfig, out_dir: str | None) -> str | None:
+    """The model cache under ``out_dir``; None without one or with
+    ``[oracle] cache = false``."""
+    return (os.path.join(out_dir, "oracle_cache")
+            if (out_dir and cfg.oracle_cache) else None)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
                    ) -> ExperimentReport:
     """Run the configured grid; optionally write traces under out_dir."""
     cfg.validate()
     report = ExperimentReport()
     traces: dict[tuple, UnpruneTrace] = {}
-    cache_dir = (os.path.join(out_dir, "oracle_cache")
-                 if (out_dir and cfg.oracle_cache) else None)
+    cache_dir = model_cache_dir(cfg, out_dir)
 
     for seed in cfg.seeds:
         # The training log is dropped here; `dense` stays bound (freeing it
         # early cost a structured seed ~20-35 k more minor page faults).
         (train_data, test_data, split, dense, _, dense_wall, pruned_at,
-         prune_wall) = prepare_seed(cfg, seed)
+         prune_wall) = prepare_seed(cfg, seed, cache_dir)
         for sparsity in cfg.sparsities:
             pruned = pruned_at[sparsity]
             oracle, oracle_wall, _ = cached_oracle(

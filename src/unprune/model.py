@@ -204,12 +204,14 @@ def apply_mask(model: MaskedModel) -> MaskedModel:
     return model
 
 
-def save_snapshot(model: MaskedModel, path: str) -> None:
+def save_snapshot(model: MaskedModel, path: str,
+                  extra: dict[str, str] | None = None) -> None:
     """Write the documented snapshot format: text header + raw float64 blocks.
 
     Header lines are ``key=value``; blocks follow ``end-header`` in layer
     order, little-endian float64, one weights/bias/mask/init quadruple per
-    layer (weights and init row-major).
+    layer (weights and init row-major). ``extra`` appends header lines that
+    ``load_snapshot`` skips and ``snapshot_header`` returns.
     """
     from .prune import sparsity_of  # local import to avoid a cycle
 
@@ -221,6 +223,7 @@ def save_snapshot(model: MaskedModel, path: str) -> None:
         f"sparsity={sparsity_of(model).sparsity:.6f}",
         "blocks=weights,bias,mask,init per layer; float64 little-endian",
     ]
+    header += [f"{key}={value}" for key, value in (extra or {}).items()]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(_HEADER_END)
@@ -242,8 +245,8 @@ def _header_uint(text: str, key: str, path: str) -> int:
     return int(text)
 
 
-def load_snapshot(path: str) -> MaskedModel:
-    """Read a ``save_snapshot`` file; any deviation raises ``FormatError``."""
+def _read_header(path: str) -> tuple[dict[str, str], bytes]:
+    """A snapshot file's ``key=value`` header fields and the bytes after it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(_HEADER_END)
@@ -255,6 +258,17 @@ def load_snapshot(path: str) -> MaskedModel:
     if not lines or lines[0] != SNAPSHOT_MAGIC:
         raise FormatError(f"{path}: bad snapshot magic line")
     fields = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
+    return fields, raw[end + len(_HEADER_END):]
+
+
+def snapshot_header(path: str) -> dict[str, str]:
+    """The ``key=value`` header fields of a snapshot file, blocks unchecked."""
+    return _read_header(path)[0]
+
+
+def load_snapshot(path: str) -> MaskedModel:
+    """Read a ``save_snapshot`` file; any deviation raises ``FormatError``."""
+    fields, blob = _read_header(path)
     for key in ("seed", "dims", "activations"):
         if key not in fields:
             raise FormatError(f"{path}: header has no {key}= line")
@@ -269,7 +283,6 @@ def load_snapshot(path: str) -> MaskedModel:
                  for i in range(len(dims) - 1)]
     except InputError as exc:
         raise FormatError(f"{path}: bad layer in header: {exc}") from None
-    blob = raw[end + len(_HEADER_END):]
     offset = 0
     weights, biases, masks, snap = [], [], [], []
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import unprune.experiment as experiment_module
+import unprune.oracle as oracle_module
 from unprune import cli
 from unprune.cli import main
 from unprune.config import parse_config, parse_config_text
@@ -20,7 +22,7 @@ from unprune.experiment import (
     report_from_json,
     run_experiment,
 )
-from unprune.model import save_snapshot
+from unprune.model import save_snapshot, snapshot_header
 from unprune.oracle import build_model
 
 TINY_CONFIG = """
@@ -174,6 +176,50 @@ def test_rerun_is_byte_identical(tiny_report, tmp_path):
     run_experiment(cfg, out_dir=str(second))
     assert (second / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
     assert (second / "results.json").read_bytes() == (out / "results.json").read_bytes()
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_rerun_into_one_out_dir_reads_the_model_cache(tmp_path, monkeypatch,
+                                                      cache):
+    # The second run loads the dense model and the oracle instead of
+    # training them, and writes the same bytes; without the cache both
+    # runs train and no cache directory appears.
+    cfg = replace(parse_config_text(TINY_CONFIG), oracle_cache=cache)
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=str(out))
+    names = ["results.csv", "results.json",
+             *(f"traces/{n}" for n in sorted(os.listdir(out / "traces")))]
+    first = {name: (out / name).read_bytes() for name in names}
+    calls = []
+    monkeypatch.setattr(experiment_module, "train_with_cfg", _counting(
+        calls, "train", experiment_module.train_with_cfg))
+    monkeypatch.setattr(oracle_module, "retrain_reprune", _counting(
+        calls, "oracle", oracle_module.retrain_reprune))
+    run_experiment(cfg, out_dir=str(out))
+    assert calls == ([] if cache else ["train", "oracle"])
+    assert (out / "oracle_cache").exists() == cache
+    assert {name: (out / name).read_bytes() for name in names} == first
+
+
+def test_rerun_reports_the_stored_build_walls(tmp_path):
+    # A re-run reads both models from the cache; its oracle row still
+    # reports the retrain's wall time and its original row the training's.
+    cfg = replace(parse_config_text(TINY_CONFIG), record_timing=True)
+    first = run_experiment(cfg, out_dir=str(tmp_path))
+    second = run_experiment(cfg, out_dir=str(tmp_path))
+    oracle_walls = [r.select(method="oracle")[0].wall_time_s
+                    for r in (first, second)]
+    assert oracle_walls[0] > 0.0 and oracle_walls[1] == oracle_walls[0]
+    (dense_entry,) = (tmp_path / "oracle_cache").glob("dense-*.bin")
+    dense_wall = float(snapshot_header(str(dense_entry))["wall"])
+    assert second.select(method="original")[0].wall_time_s >= dense_wall > 0.0
 
 
 # SHA-256 of the structured grid's outputs for seed 0 without timing. A
@@ -365,6 +411,26 @@ def test_cli_unprune_trace_equals_grid_trace(tiny_report, tmp_path):
                  "--method", "finetune"]) == 0
     name = "trace_seed0_s0.5_finetune.csv"
     assert (out / name).read_bytes() == (grid_out / "traces" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, output", [
+    ("prune", "pruned_seed0_s0.5.bin"),
+    ("unprune", "unpruned_seed0_s0.5_noop.bin"),
+    ("mia-sweep", "mia_sweep_seed0.csv"),
+])
+def test_cli_second_call_loads_the_cached_model(tmp_path, monkeypatch,
+                                                command, output):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the dense model was trained again")
+
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    first = (tmp_path / output).read_bytes()
+    monkeypatch.setattr(experiment_module, "train_with_cfg", no_training)
+    assert main(argv) == 0
+    assert (tmp_path / output).read_bytes() == first
 
 
 def test_cli_seeds_override(tmp_path):

@@ -1,18 +1,33 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import unprune.oracle as oracle_module
+from unprune.config import ExperimentConfig
 from unprune.data import gen_blobs, split_delete
 from unprune.errors import InputError
+from unprune.experiment import build_data, prepare_seed
 from unprune.metrics import MaskPair, iou, kl_masked_weights
-from unprune.model import load_snapshot
+from unprune.model import load_snapshot, save_snapshot, snapshot_header
 from unprune.numeric import SeededRng
-from unprune.oracle import build_model, cached_oracle, oracle_key, retrain_reprune
+from unprune.oracle import (
+    build_model,
+    cached_oracle,
+    dense_key,
+    oracle_key,
+    retrain_reprune,
+)
 from unprune.prune import sparsity_of
 from unprune.train import TrainCfg
+
+# A small task whose dense original prepare_seed trains in well under 1 s.
+DENSE_CFG = ExperimentConfig(
+    n_per_class=30, test_per_class=10, hidden=(10,),
+    train=TrainCfg(epochs=120, lr=0.3, batch_size=60), seeds=(60,),
+)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +36,36 @@ def small_task():
     train = gen_blobs(rng.split("tr"), 60, 2, 2, 1.2)
     split = split_delete(train, 0.1, rng.split("del"))
     return train, split, TrainCfg(epochs=120, lr=0.3, batch_size=120)
+
+
+@pytest.fixture(params=["oracle", "dense"])
+def entry(request, small_task):
+    """One kind of model-cache entry: (lookup, build, file name).
+
+    ``lookup(cache_dir)`` returns (model, wall_s, hit) through the cache,
+    ``build()`` the same model built without one.
+    """
+    train, split, cfg = small_task
+    if request.param == "oracle":
+        args = (train, split, [2, 10, 2], cfg, 0.5, 60)
+        key = oracle_key(*args[:5], "unstructured", "global", 60, False, 1)
+        return (lambda cache: cached_oracle(cache, *args),
+                lambda: retrain_reprune(*args)[0], f"oracle-{key}.bin")
+
+    def lookup(cache):
+        setup = prepare_seed(DENSE_CFG, 60, cache)
+        return setup.dense, setup.train_wall, setup.log is None
+
+    dense_data = build_data(DENSE_CFG, 60)[0]
+    key = dense_key(dense_data, DENSE_CFG.arch_dims(), DENSE_CFG.train, 60)
+    return (lookup, lambda: prepare_seed(DENSE_CFG, 60).dense,
+            f"dense-{key}.bin")
+
+
+def _same_model(a, b):
+    for got, want in ((a.weights, b.weights), (a.biases, b.biases),
+                      (a.masks, b.masks), (a.init_snapshot, b.init_snapshot)):
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_oracle_deterministic(small_task):
@@ -65,11 +110,15 @@ def test_imp_variant_runs_and_restores_sparsity(small_task):
 def test_cache_round_trip(tmp_path, small_task):
     train, split, cfg = small_task
     cache = str(tmp_path / "cache")
-    fresh, _, hit0 = cached_oracle(cache, train, split, [2, 10, 2], cfg, 0.5, 60)
-    again, _, hit1 = cached_oracle(cache, train, split, [2, 10, 2], cfg, 0.5, 60)
+    fresh, wall0, hit0 = cached_oracle(cache, train, split, [2, 10, 2], cfg,
+                                       0.5, 60)
+    again, wall1, hit1 = cached_oracle(cache, train, split, [2, 10, 2], cfg,
+                                       0.5, 60)
     assert not hit0 and hit1
     assert np.array_equal(fresh.flat_weights(), again.flat_weights())
     assert np.array_equal(fresh.flat_masks(), again.flat_masks())
+    # A hit reports the retrain it stands for, not the time of the read.
+    assert wall0 > 0.0 and wall1 == wall0
 
 
 def test_cache_key_sensitivity(small_task):
@@ -81,6 +130,30 @@ def test_cache_key_sensitivity(small_task):
     other_sparsity = oracle_key(train, split, [2, 10, 2], cfg, 0.6,
                                 "unstructured", "global", 60, False, 1)
     assert len({base, other_seed, other_sparsity}) == 3
+    dense = {
+        dense_key(train, [2, 10, 2], cfg, 60),
+        dense_key(train, [2, 10, 2], cfg, 61),
+        dense_key(train, [2, 12, 2], cfg, 60),
+        dense_key(train, [2, 10, 2], replace(cfg, epochs=121), 60),
+        dense_key(train, [2, 10, 2], replace(cfg, lr=0.2), 60),
+        dense_key(train, [2, 10, 2], replace(cfg, batch_size=60), 60),
+    }
+    assert len(dense) == 6
+
+
+def test_cache_version_salts_every_key(small_task, monkeypatch):
+    train, split, cfg = small_task
+
+    def keys():
+        return (oracle_key(train, split, [2, 10, 2], cfg, 0.5, "unstructured",
+                           "global", 60, False, 1),
+                dense_key(train, [2, 10, 2], cfg, 60))
+
+    before = keys()
+    monkeypatch.setattr(oracle_module, "CACHE_VERSION",
+                        oracle_module.CACHE_VERSION + 1)
+    after = keys()
+    assert before[0] != after[0] and before[1] != after[1]
 
 
 def test_oracle_diverges_from_original(ref_runs, ref_oracles):
@@ -95,25 +168,23 @@ def test_oracle_diverges_from_original(ref_runs, ref_oracles):
     assert all(v < 1.0 for v in values)
 
 
-def test_cache_write_is_atomic(tmp_path, small_task, monkeypatch):
-    train, split, cfg = small_task
+def test_cache_write_is_atomic(tmp_path, entry, monkeypatch):
+    lookup, _, name = entry
     cache = tmp_path / "cache"
 
-    def broken_save(model, path):
+    def broken_save(model, path, extra=None):
         with open(path, "wb") as fh:
             fh.write(b"unprune-model 1\nseed=")
         raise OSError("disk full")
 
     monkeypatch.setattr(oracle_module, "save_snapshot", broken_save)
     with pytest.raises(OSError, match="disk full"):
-        cached_oracle(str(cache), train, split, [2, 10, 2], cfg, 0.5, 60)
+        lookup(str(cache))
     assert os.listdir(cache) == []
     monkeypatch.undo()
-    _, _, hit = cached_oracle(str(cache), train, split, [2, 10, 2], cfg, 0.5, 60)
+    _, _, hit = lookup(str(cache))
     assert not hit
-    key = oracle_key(train, split, [2, 10, 2], cfg, 0.5, "unstructured",
-                     "global", 60, False, 1)
-    assert os.listdir(cache) == [f"oracle-{key}.bin"]
+    assert os.listdir(cache) == [name]
 
 
 def test_structured_imp_rounds_rejected(small_task):
@@ -133,17 +204,29 @@ def test_imp_rounds_below_one_rejected(small_task):
                             imp_rounds=rounds)
 
 
-def test_corrupt_cache_file_is_retrained(tmp_path, small_task):
-    train, split, cfg = small_task
+def test_corrupt_cache_file_is_retrained(tmp_path, entry):
+    lookup, build, name = entry
     cache = tmp_path / "cache"
-    args = (train, split, [2, 10, 2], cfg, 0.5, 60)
-    cached_oracle(str(cache), *args)
-    (path,) = cache.iterdir()
+    lookup(str(cache))
+    path = cache / name
     path.write_bytes(path.read_bytes()[:-9])  # a truncated snapshot
-    model, _, hit = cached_oracle(str(cache), *args)
-    fresh, _ = retrain_reprune(*args)
+    model, _, hit = lookup(str(cache))
     assert not hit
+    fresh = build()
     for got in (model, load_snapshot(str(path))):
-        assert np.array_equal(got.flat_weights(), fresh.flat_weights())
-        assert np.array_equal(got.flat_masks(), fresh.flat_masks())
-    assert os.listdir(cache) == [path.name]
+        _same_model(got, fresh)
+    assert os.listdir(cache) == [name]
+
+
+def test_entry_without_stored_wall_is_rebuilt(tmp_path, entry):
+    # An entry that carries no build wall time cannot report one on a hit.
+    lookup, build, name = entry
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    save_snapshot(build(), str(cache / name))
+    model, wall, hit = lookup(str(cache))
+    assert not hit
+    assert float(snapshot_header(str(cache / name))["wall"]) == wall
+    _, again, hit = lookup(str(cache))
+    assert hit and again == wall
+    _same_model(model, load_snapshot(str(cache / name)))
