@@ -12,11 +12,11 @@ import os
 import sys
 
 from unprune.config import parse_config
+from unprune.core import topology
 from unprune.experiment import prepare_seed
 from unprune.metrics import MaskPair, iou
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
-from unprune.prune import prune_magnitude
 from unprune.train import train_with_cfg
 
 CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
@@ -39,10 +39,11 @@ def main():
                        cfg.train, SeededRng(seed).split("train"))
         values = {}
         for scope in ("global", "per_layer"):
+            topo = topology("unstructured", scope)
             full, retain = run.dense.clone(), retained.clone()
-            prune_magnitude(full, sparsity, scope=scope)
-            prune_magnitude(retain, sparsity, scope=scope)
-            values[scope] = iou(MaskPair.from_models(full, retain))
+            topo.prune(full, sparsity)
+            topo.prune(retain, sparsity)
+            values[scope] = iou(MaskPair(topo.kept(full), topo.kept(retain)))
         rows.append((seed, values["global"], values["per_layer"]))
         print(f"seed {seed}: IoU global={values['global']:.4f} "
               f"per_layer={values['per_layer']:.4f}")

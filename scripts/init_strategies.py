@@ -14,10 +14,9 @@ from dataclasses import replace
 import numpy as np
 
 from unprune.config import parse_config
-from unprune.core import unprune
-from unprune.experiment import prepare_seed
+from unprune.core import topology
+from unprune.experiment import cell_unprune, prepare_seed
 from unprune.metrics import MaskPair, iom
-from unprune.numeric import SeededRng
 from unprune.oracle import retrain_reprune
 
 CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
@@ -38,19 +37,17 @@ def main():
                               cfg.scope)[0]
         for seed, run in runs.items()
     }
+    topo = topology(cfg.prune_mode, cfg.scope)
     for method in args.methods.split(","):
         for strategy in ("original", "random"):
-            unprune_cfg = replace(cfg, init_strategy=strategy).unprune_config(
-                method, sparsity)
+            strategy_cfg = replace(cfg, init_strategy=strategy)
             values = []
             for seed, run in runs.items():
                 model = run.pruned[sparsity].clone()
-                model, _ = unprune(model, run.train_data, run.split,
-                                   unprune_cfg,
-                                   SeededRng(seed).split(f"unprune/{method}"),
-                                   mode=cfg.prune_mode,
-                                   test_data=run.test_data, scope=cfg.scope)
-                values.append(iom(MaskPair.from_models(model, oracles[seed])))
+                cell_unprune(strategy_cfg, seed, sparsity, method, model,
+                             run.train_data, run.test_data, run.split)
+                values.append(iom(MaskPair(topo.kept(model),
+                                           topo.kept(oracles[seed]))))
             print(f"{method:16s} init={strategy:8s} "
                   f"mean IoM={np.mean(values):.4f} "
                   f"per-seed {['%.4f' % v for v in values]}")

@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
-from .core import topology
 from .errors import ConfigError, FormatError, InputError
 from .experiment import (
     _prune_to,
+    _scores,
     build_data,
     cell_unprune,
     emit_scatter,
@@ -58,7 +58,12 @@ def _load_cfg(args) -> ExperimentConfig:
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
-    train_data, _, _, model, log, *_ = prepare_seed(cfg, seed)
+    # Training writes the dense cache entry; a hit has no log to write, so
+    # it trains again without the cache.
+    setup = prepare_seed(cfg, seed, model_cache_dir(cfg, out))
+    if setup.log is None:
+        setup = prepare_seed(cfg, seed)
+    train_data, _, _, model, log, *_ = setup
     snap = os.path.join(out, f"model_seed{seed}.bin")
     save_snapshot(model, snap)
     log.to_csv(os.path.join(out, f"trainlog_seed{seed}.csv"))
@@ -133,13 +138,10 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
         loss_t, ta = evaluate(model, test_data, np.arange(test_data.n))
         print(f"test:   loss={loss_t:.4f} ta={ta:.4f}")
     if args.ref:
-        from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
-
-        ref = load_snapshot(args.ref)
-        topo = topology(cfg.prune_mode, cfg.scope)
-        pair = MaskPair(topo.kept(model), topo.kept(ref))
-        print(f"vs ref: iom={iom(pair):.4f} uom={uom(pair):.4f} "
-              f"iou={iou(pair):.4f} kl={kl_masked_weights(model, ref):.4f}")
+        vs_ref = _scores(cfg, model, (load_snapshot(args.ref),), train_data,
+                         test_data, split)[0]
+        print(f"vs ref: iom={vs_ref['iom']:.4f} uom={vs_ref['uom']:.4f} "
+              f"iou={vs_ref['iou']:.4f} kl={vs_ref['kl']:.4f}")
     return 0
 
 

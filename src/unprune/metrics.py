@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InputError
 from .model import GradientSet, MaskedModel
-from .prune import neuron_mask
 
 VARIANCE_FLOOR = 1e-12
 
@@ -43,17 +42,6 @@ class MaskPair:
                 raise InputError(f"{name} entries must be 0 or 1")
         object.__setattr__(self, "mask_u", u)
         object.__setattr__(self, "mask_r", r)
-
-    @classmethod
-    def from_models(cls, model_u: MaskedModel, model_r: MaskedModel) -> "MaskPair":
-        return cls(model_u.flat_masks(), model_r.flat_masks())
-
-    @classmethod
-    def from_neuron_masks(
-        cls, model_u: MaskedModel, model_r: MaskedModel
-    ) -> "MaskPair":
-        """Neuron-level pair for structured comparisons."""
-        return cls(neuron_mask(model_u), neuron_mask(model_r))
 
     @property
     def n(self) -> int:

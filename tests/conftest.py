@@ -1,19 +1,20 @@
-"""Shared fixtures: the reference runs and oracles are expensive, build once.
+"""Shared fixtures: each reference task's shipped grid runs once per session.
 
 The two reference tasks are the shipped configs: configs/reference.ini
-(unstructured) and configs/structured.ini (whole-neuron masks).
+(unstructured) and configs/structured.ini (whole-neuron masks). One session
+fixture per task runs the config's grid without timing; the set-ups and
+oracles the tests use are read back from that grid's model cache, so every
+model a test sees is one the grid scored.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
 from unprune.config import parse_config
-from unprune.experiment import prepare_seed
-from unprune.numeric import SeededRng
-from unprune.oracle import build_model, retrain_reprune
-from unprune.prune import prune_magnitude
-from unprune.train import train_with_cfg
+from unprune.experiment import model_cache_dir, prepare_seed, run_experiment
+from unprune.oracle import cached_oracle
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "configs")
@@ -29,48 +30,59 @@ def struct_cfg():
     return parse_config(os.path.join(CONFIGS, "structured.ini"))
 
 
+def _grid(cfg, tmp_path_factory, name):
+    out = tmp_path_factory.mktemp(name)
+    report = run_experiment(replace(cfg, record_timing=False), out_dir=str(out))
+    assert not report.errors
+    return report, out
+
+
+def _cached_setups(cfg, out):
+    """Each seed's set-up, read from the grid's model cache.
+
+    A miss would train a model the grid never scored, so it fails loudly.
+    """
+    setups = {}
+    for seed in cfg.seeds:
+        setups[seed] = prepare_seed(cfg, seed, model_cache_dir(cfg, str(out)))
+        assert setups[seed].log is None, f"seed {seed}: dense model not cached"
+    return setups
+
+
 @pytest.fixture(scope="session")
-def ref_runs(ref_cfg):
+def ref_grid(ref_cfg, tmp_path_factory):
+    """(report, out dir) of one run of the reference grid."""
+    return _grid(ref_cfg, tmp_path_factory, "reference")
+
+
+@pytest.fixture(scope="session")
+def struct_grid(struct_cfg, tmp_path_factory):
+    """(report, out dir) of one run of the structured grid."""
+    return _grid(struct_cfg, tmp_path_factory, "structured")
+
+
+@pytest.fixture(scope="session")
+def ref_runs(ref_cfg, ref_grid):
     """Trained+pruned unstructured reference models, one per seed."""
-    return {seed: prepare_seed(ref_cfg, seed) for seed in ref_cfg.seeds}
+    return _cached_setups(ref_cfg, ref_grid[1])
 
 
 @pytest.fixture(scope="session")
-def ref_oracle_dense(ref_cfg, ref_runs):
-    """Dense retrain-on-retained models (the oracle before its prune)."""
+def struct_runs(struct_cfg, struct_grid):
+    """Trained+pruned structured reference models, one per seed."""
+    return _cached_setups(struct_cfg, struct_grid[1])
+
+
+@pytest.fixture(scope="session")
+def ref_oracles(ref_cfg, ref_grid, ref_runs):
+    """The reference grid's retrain+reprune oracle, one per seed."""
+    cfg = ref_cfg
+    cache_dir = model_cache_dir(cfg, str(ref_grid[1]))
     out = {}
     for seed, run in ref_runs.items():
-        model = build_model(ref_cfg.arch_dims(), seed)
-        train_with_cfg(model, run.train_data, run.split.retain_indices,
-                       ref_cfg.train, SeededRng(seed).split("train"))
-        out[seed] = model
+        out[seed], _, hit = cached_oracle(
+            cache_dir, run.train_data, run.split, cfg.arch_dims(), cfg.train,
+            cfg.sparsities[0], seed, cfg.prune_mode, cfg.scope, None,
+            cfg.imp_rounds)
+        assert hit, f"seed {seed}: oracle not cached"
     return out
-
-
-@pytest.fixture(scope="session")
-def ref_oracles(ref_oracle_dense):
-    """Retrain+reprune oracles at the sparsity grid, per seed."""
-    out = {}
-    for seed, dense in ref_oracle_dense.items():
-        for sparsity in (0.4, 0.6, 0.95):
-            model = dense.clone()
-            prune_magnitude(model, sparsity, scope="global")
-            out[(seed, sparsity)] = model
-    return out
-
-
-@pytest.fixture(scope="session")
-def struct_runs(struct_cfg):
-    """Trained+pruned structured reference models, one per seed."""
-    return {seed: prepare_seed(struct_cfg, seed) for seed in struct_cfg.seeds}
-
-
-@pytest.fixture(scope="session")
-def struct_oracles(struct_cfg, struct_runs):
-    cfg = struct_cfg
-    return {
-        seed: retrain_reprune(run.train_data, run.split, cfg.arch_dims(),
-                              cfg.train, cfg.sparsities[0], seed,
-                              mode=cfg.prune_mode, scope=cfg.scope)[0]
-        for seed, run in struct_runs.items()
-    }

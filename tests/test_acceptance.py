@@ -16,13 +16,14 @@ import pytest
 
 from unprune.core import UnpruneConfig, unprune
 from unprune.data import gen_blobs, split_delete
+from unprune.experiment import _scores, cell_unprune, run_experiment
 from unprune.metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from unprune.mia import mia_evaluate, ratio_sweep
 from unprune.model import backward, forward, init_model, mlp_specs
 from unprune.numeric import SeededRng, softmax_cross_entropy
 from unprune.oracle import build_model, retrain_reprune
 from unprune.prune import prune_magnitude, sparsity_of
-from unprune.train import TrainCfg, evaluate, train_with_cfg
+from unprune.train import TrainCfg, train_with_cfg
 from unprune.unlearn import UnlearnConfig
 
 
@@ -116,13 +117,11 @@ def test_criterion_02_gradient_fidelity():
                            f"{elapsed:.1f}s")
 
 
-def test_criterion_03_data_dependence(ref_cfg, ref_runs, ref_oracles):
+def test_criterion_03_data_dependence(ref_cfg, ref_grid):
     """Same seed, 10% deleted: pruned topologies visibly diverge (IoU < 0.95)."""
-    values = []
-    for seed in ref_cfg.seeds:
-        pair = MaskPair.from_models(ref_runs[seed].pruned[0.6],
-                                    ref_oracles[(seed, 0.6)])
-        values.append(iou(pair))
+    report, _ = ref_grid
+    values = [row.iou for row in
+              report.select(method="original", sparsity=ref_cfg.sparsities[0])]
     hits = sum(v < 0.95 for v in values)
     ok = hits >= 4
     assert _verdict(3, ok, "IoU(original, oracle masks) = "
@@ -130,48 +129,23 @@ def test_criterion_03_data_dependence(ref_cfg, ref_runs, ref_oracles):
                     + f" -> {hits}/5 below 0.95")
 
 
-@pytest.fixture(scope="session")
-def unpruned_reference(ref_cfg, ref_runs):
-    """Un-pruning outputs for both headline methods on the reference task."""
-    out = {}
-    sparsity = ref_cfg.sparsities[0]
-    for method in ("gradient_ascent", "finetune"):
-        for seed, run in ref_runs.items():
-            model = run.pruned[sparsity].clone()
-            cfg = ref_cfg.unprune_config(method, sparsity)
-            model, trace = unprune(
-                model, run.train_data, run.split, cfg,
-                SeededRng(seed).split(f"unprune/{method}"),
-                test_data=run.test_data,
-            )
-            out[(method, seed)] = (model, trace)
-    return out
-
-
-def test_criterion_04_unpruning_beats_doing_nothing(
-        ref_cfg, ref_runs, ref_oracles, unpruned_reference):
-    """Mean IoM(M_u, oracle) > mean IoM(M, oracle) and UA gap not worse."""
+def _unpruning_gains(report, sparsity, number):
+    """Per method: the grid's mean IoM and UA gap to the oracle, against the
+    original pruned model's; ok when IoM rises and the gap does not widen."""
     all_ok = True
     details = []
+    original = report.select(method="original", sparsity=sparsity)
+    oracle = report.select(method="oracle", sparsity=sparsity)
     for method in ("gradient_ascent", "finetune"):
-        iom_orig, iom_u, gap_orig, gap_u = [], [], [], []
-        for seed in ref_cfg.seeds:
-            run = ref_runs[seed]
-            pruned = run.pruned[0.6]
-            oracle = ref_oracles[(seed, 0.6)]
-            model, _ = unpruned_reference[(method, seed)]
-            iom_orig.append(iom(MaskPair.from_models(pruned, oracle)))
-            iom_u.append(iom(MaskPair.from_models(model, oracle)))
-            ua_orig = evaluate(pruned, run.train_data,
-                               run.split.forget_indices)[1]
-            ua_oracle = evaluate(oracle, run.train_data,
-                                 run.split.forget_indices)[1]
-            ua_u = evaluate(model, run.train_data, run.split.forget_indices)[1]
-            gap_orig.append(abs(ua_orig - ua_oracle))
-            gap_u.append(abs(ua_u - ua_oracle))
-            print(f"    [crit 4] {method} seed {seed}: IoM "
-                  f"{iom_orig[-1]:.4f} -> {iom_u[-1]:.4f}, UA gap "
-                  f"{gap_orig[-1]:.3f} -> {gap_u[-1]:.3f}")
+        unpruned = report.select(method=method, sparsity=sparsity)
+        iom_orig = [row.iom for row in original]
+        iom_u = [row.iom for row in unpruned]
+        gap_orig = [abs(r.ua - o.ua) for r, o in zip(original, oracle)]
+        gap_u = [abs(r.ua - o.ua) for r, o in zip(unpruned, oracle)]
+        for i, row in enumerate(unpruned):
+            print(f"    [crit {number}] {method} seed {row.seed}: IoM "
+                  f"{iom_orig[i]:.4f} -> {iom_u[i]:.4f}, UA gap "
+                  f"{gap_orig[i]:.3f} -> {gap_u[i]:.3f}")
         better_iom = np.mean(iom_u) > np.mean(iom_orig)
         better_ua = np.mean(gap_u) <= np.mean(gap_orig)
         all_ok &= better_iom and better_ua
@@ -179,7 +153,13 @@ def test_criterion_04_unpruning_beats_doing_nothing(
             f"{method}: dIoM={np.mean(iom_u) - np.mean(iom_orig):+.4f}, "
             f"gap {np.mean(gap_orig):.3f}->{np.mean(gap_u):.3f}"
         )
-    assert _verdict(4, all_ok, "; ".join(details))
+    return all_ok, "; ".join(details)
+
+
+def test_criterion_04_unpruning_beats_doing_nothing(ref_cfg, ref_grid):
+    """Mean IoM(M_u, oracle) > mean IoM(M, oracle) and UA gap not worse."""
+    ok, detail = _unpruning_gains(ref_grid[0], ref_cfg.sparsities[0], 4)
+    assert _verdict(4, ok, detail)
 
 
 def test_criterion_05_sparsity_restoration():
@@ -216,17 +196,22 @@ def test_criterion_05_sparsity_restoration():
 
 def test_criterion_06_kl_ground_truth(ref_cfg, ref_runs, ref_oracles):
     """Self-KL is exactly 0; KL(original, oracle) non-decreasing in sparsity."""
-    oracle = ref_oracles[(0, 0.6)]
-    self_kl = kl_masked_weights(oracle, oracle)
+    self_kl = kl_masked_weights(ref_oracles[0], ref_oracles[0])
     assert self_kl == 0.0
     wins = 0
     per_seed = []
-    for seed in ref_cfg.seeds:
+    for seed, run in ref_runs.items():
+        # The grid holds one sparsity's oracle; the others prune one model
+        # retrained on the retained rows, as retrain_reprune does.
+        retained = build_model(ref_cfg.arch_dims(), seed)
+        train_with_cfg(retained, run.train_data, run.split.retain_indices,
+                       ref_cfg.train, SeededRng(seed).split("train"))
         kls = []
-        for sparsity in (0.4, 0.6, 0.95):
-            pruned = ref_runs[seed].dense.clone()
+        for sparsity in (0.4, ref_cfg.sparsities[0], 0.95):
+            pruned, oracle = run.dense.clone(), retained.clone()
             prune_magnitude(pruned, sparsity)
-            kls.append(kl_masked_weights(pruned, ref_oracles[(seed, sparsity)]))
+            prune_magnitude(oracle, sparsity)
+            kls.append(kl_masked_weights(pruned, oracle))
         wins += kls[0] <= kls[1] <= kls[2]
         per_seed.append("->".join(f"{k:.3f}" for k in kls))
     ok = wins >= 4
@@ -234,23 +219,23 @@ def test_criterion_06_kl_ground_truth(ref_cfg, ref_runs, ref_oracles):
                            f"seeds ({'; '.join(per_seed)})")
 
 
-def test_criterion_07_init_strategy_ordering(ref_cfg, ref_runs, ref_oracles):
+def test_criterion_07_init_strategy_ordering(ref_cfg, ref_grid, ref_runs,
+                                            ref_oracles):
     """Original-initialization un-pruning matches or beats random init on IoM."""
-    means = {}
     sparsity = ref_cfg.sparsities[0]
-    for strategy in ("original", "random"):
-        values = []
-        for seed in ref_cfg.seeds:
-            run = ref_runs[seed]
-            model = run.pruned[sparsity].clone()
-            cfg = replace(ref_cfg, init_strategy=strategy).unprune_config(
-                "gradient_ascent", sparsity)
-            model, _ = unprune(model, run.train_data, run.split, cfg,
-                               SeededRng(seed).split("unprune/gradient_ascent"),
-                               test_data=run.test_data)
-            values.append(iom(MaskPair.from_models(model,
-                                                   ref_oracles[(seed, 0.6)])))
-        means[strategy] = float(np.mean(values))
+    # The grid's gradient ascent cells re-initialize from the original init.
+    means = {"original": float(np.mean([
+        row.iom for row in ref_grid[0].select(method="gradient_ascent",
+                                              sparsity=sparsity)]))}
+    cfg = replace(ref_cfg, init_strategy="random")
+    values = []
+    for seed, run in ref_runs.items():
+        model = run.pruned[sparsity].clone()
+        cell_unprune(cfg, seed, sparsity, "gradient_ascent", model,
+                     run.train_data, run.test_data, run.split)
+        values.append(_scores(cfg, model, (ref_oracles[seed],), run.train_data,
+                              run.test_data, run.split)[0]["iom"])
+    means["random"] = float(np.mean(values))
     ok = means["original"] >= means["random"]
     detail = (f"mean IoM original={means['original']:.4f} vs "
               f"random={means['random']:.4f}")
@@ -271,11 +256,9 @@ def test_criterion_08_running_time_ordering(ref_cfg, ref_runs):
                     ref_cfg.train, sparsity, 0)
     oracle_wall = time.perf_counter() - t0
     model = run.pruned[sparsity].clone()
-    cfg = ref_cfg.unprune_config("gradient_ascent", sparsity)
     t0 = time.perf_counter()
-    unprune(model, run.train_data, run.split, cfg,
-            SeededRng(0).split("unprune/gradient_ascent"),
-            test_data=run.test_data)
+    cell_unprune(ref_cfg, 0, sparsity, "gradient_ascent", model,
+                 run.train_data, run.test_data, run.split)
     unprune_wall = time.perf_counter() - t0
     ok = unprune_wall <= 0.5 * oracle_wall
     assert _verdict(8, ok, f"unprune {unprune_wall:.3f}s vs retrain+reprune "
@@ -324,15 +307,13 @@ REFERENCE_GRID_SHA256 = {
 }
 
 
-def test_criterion_10_determinism(ref_cfg, tmp_path):
+def test_criterion_10_determinism(ref_cfg, ref_grid, tmp_path):
     """Two runs of the reference grid emit byte-identical CSV and JSON."""
-    cfg = replace(ref_cfg, record_timing=False)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    from unprune.experiment import run_experiment
-
-    report_a = run_experiment(cfg, out_dir=str(out_a))
-    report_b = run_experiment(cfg, out_dir=str(out_b))
-    assert not report_a.errors and not report_b.errors
+    report_a, out_a = ref_grid
+    out_b = tmp_path / "b"
+    report_b = run_experiment(replace(ref_cfg, record_timing=False),
+                              out_dir=str(out_b))
+    assert not report_b.errors
     for name, digest in REFERENCE_GRID_SHA256.items():
         data = (out_a / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
@@ -346,43 +327,17 @@ def test_criterion_10_determinism(ref_cfg, tmp_path):
                             f"({len(report_a.rows)} rows)")
 
 
-def test_criterion_11_structured_variant(struct_cfg, struct_runs,
-                                        struct_oracles):
+def test_criterion_11_structured_variant(struct_cfg, struct_grid, struct_runs):
     """Neuron-level analogues of criteria 4-5 on the 2-32-32-2 network."""
-    all_ok = True
-    details = []
     sparsity = struct_cfg.sparsities[0]
     for method in ("gradient_ascent", "finetune"):
-        iom_orig, iom_u, gap_orig, gap_u = [], [], [], []
-        for seed in struct_cfg.seeds:
-            run = struct_runs[seed]
+        for seed, run in struct_runs.items():
             pruned = run.pruned[sparsity]
-            oracle = struct_oracles[seed]
             model = pruned.clone()
-            cfg = struct_cfg.unprune_config(method, sparsity)
-            pruned_counts = [int(m.size - m.sum()) for m in pruned.masks]
-            model, _ = unprune(model, run.train_data, run.split, cfg,
-                               SeededRng(seed).split("up"),
-                               mode="structured", test_data=run.test_data)
+            cell_unprune(struct_cfg, seed, sparsity, method, model,
+                         run.train_data, run.test_data, run.split)
             # Criterion 5 analogue: per-layer pruned counts restored exactly.
-            assert [int(m.size - m.sum()) for m in model.masks] == pruned_counts
-            iom_orig.append(iom(MaskPair.from_neuron_masks(pruned, oracle)))
-            iom_u.append(iom(MaskPair.from_neuron_masks(model, oracle)))
-            ua_orig = evaluate(pruned, run.train_data,
-                               run.split.forget_indices)[1]
-            ua_oracle = evaluate(oracle, run.train_data,
-                                 run.split.forget_indices)[1]
-            ua_u = evaluate(model, run.train_data, run.split.forget_indices)[1]
-            gap_orig.append(abs(ua_orig - ua_oracle))
-            gap_u.append(abs(ua_u - ua_oracle))
-            print(f"    [crit 11] {method} seed {seed}: neuron IoM "
-                  f"{iom_orig[-1]:.4f} -> {iom_u[-1]:.4f}, UA gap "
-                  f"{gap_orig[-1]:.3f} -> {gap_u[-1]:.3f}")
-        better_iom = np.mean(iom_u) > np.mean(iom_orig)
-        better_ua = np.mean(gap_u) <= np.mean(gap_orig)
-        all_ok &= better_iom and better_ua
-        details.append(
-            f"{method}: dIoM={np.mean(iom_u) - np.mean(iom_orig):+.4f}, "
-            f"gap {np.mean(gap_orig):.3f}->{np.mean(gap_u):.3f}"
-        )
-    assert _verdict(11, all_ok, "; ".join(details))
+            assert ([int(m.size - m.sum()) for m in model.masks]
+                    == [int(m.size - m.sum()) for m in pruned.masks])
+    ok, detail = _unpruning_gains(struct_grid[0], sparsity, 11)
+    assert _verdict(11, ok, detail)

@@ -3,7 +3,6 @@ import os
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import unprune.experiment as experiment_module
@@ -13,7 +12,6 @@ from unprune.cli import main
 from unprune.config import parse_config, parse_config_text
 from unprune.errors import ConfigError
 from unprune.experiment import (
-    CellRow,
     ExperimentReport,
     emit_csv,
     emit_json,
@@ -236,13 +234,15 @@ STRUCTURED_SEED0_SHA256 = {
 }
 
 
-def test_structured_golden_output(tmp_path):
-    path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                        "structured.ini")
-    cfg = replace(parse_config(path), seeds=(0,), record_timing=False)
-    run_experiment(cfg, out_dir=str(tmp_path))
+def test_structured_golden_output(struct_grid, tmp_path):
+    # The session grid's seed-0 rows, emitted alone, and its seed-0 traces.
+    report, out = struct_grid
+    seed0 = ExperimentReport(rows=[row for row in report.rows if row.seed == 0])
+    emit_csv(seed0, str(tmp_path / "results.csv"))
+    emit_json(seed0, str(tmp_path / "results.json"))
     for name, digest in STRUCTURED_SEED0_SHA256.items():
-        data = (tmp_path / name).read_bytes()
+        data = (out / name if name.startswith("traces/") else
+                tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
@@ -431,6 +431,38 @@ def test_cli_second_call_loads_the_cached_model(tmp_path, monkeypatch,
     monkeypatch.setattr(experiment_module, "train_with_cfg", no_training)
     assert main(argv) == 0
     assert (tmp_path / output).read_bytes() == first
+
+
+def test_cli_train_then_unprune_trains_once(tmp_path, monkeypatch):
+    # train writes the dense cache entry that unprune then reads.
+    calls = []
+    monkeypatch.setattr(experiment_module, "train_with_cfg", _counting(
+        calls, "train", experiment_module.train_with_cfg))
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    for command in ("train", "unprune"):
+        assert main([command, "--config", str(config_path), "--out",
+                     str(tmp_path / "out")]) == 0
+    assert calls == ["train"]
+
+
+def test_cli_evaluate_ref_prints_the_grids_original_row(tiny_report, tmp_path,
+                                                        capsys):
+    _, report, _ = tiny_report
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    for command in ("prune", "oracle"):
+        assert main([command, "--config", str(config_path), "--out",
+                     str(out)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path),
+                 "--model", str(out / "pruned_seed0_s0.5.bin"),
+                 "--ref", str(out / "oracle_seed0_s0.5.bin")]) == 0
+    row = report.select(method="original")[0]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"vs ref: iom={row.iom:.4f} uom={row.uom:.4f} iou={row.iou:.4f} "
+        f"kl={row.kl:.4f}")
 
 
 def test_cli_seeds_override(tmp_path):

@@ -12,11 +12,11 @@ from unprune.core import (
 )
 from unprune.data import gen_blobs, split_delete
 from unprune.errors import ConfigError, InputError
+from unprune.experiment import cell_unprune
 from unprune.model import init_model, mlp_specs
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.prune import (
-    neuron_mask,
     prune_magnitude,
     prune_structured_l2,
     sparsity_of,
@@ -216,15 +216,14 @@ def test_growth_legality_and_restoration_structured():
     assert all(len(g) > 0 for g in trace.grown)
 
 
-def test_mask_change_capability(ref_cfg, ref_runs, ref_oracles):
+def test_mask_change_capability(ref_cfg, ref_runs):
     # With a non-noop unlearner the output mask differs from the input mask.
     run = ref_runs[0]
-    pruned = run.pruned[ref_cfg.sparsities[0]]
+    sparsity = ref_cfg.sparsities[0]
+    pruned = run.pruned[sparsity]
     model = pruned.clone()
-    cfg = ref_cfg.unprune_config("gradient_ascent", ref_cfg.sparsities[0])
-    model, _ = unprune(model, run.train_data, run.split, cfg,
-                       SeededRng(0).split("unprune/gradient_ascent"),
-                       test_data=run.test_data)
+    cell_unprune(ref_cfg, 0, sparsity, "gradient_ascent", model,
+                 run.train_data, run.test_data, run.split)
     assert not np.array_equal(model.flat_masks(), pruned.flat_masks())
 
 

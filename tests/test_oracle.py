@@ -7,6 +7,7 @@ import pytest
 
 import unprune.oracle as oracle_module
 from unprune.config import ExperimentConfig
+from unprune.core import topology
 from unprune.data import gen_blobs, split_delete
 from unprune.errors import InputError
 from unprune.experiment import build_data, prepare_seed
@@ -79,7 +80,8 @@ def test_oracle_deterministic(small_task):
 def test_oracle_vs_itself(small_task):
     train, split, cfg = small_task
     model, _ = retrain_reprune(train, split, [2, 10, 2], cfg, 0.5, 60)
-    assert iou(MaskPair.from_models(model, model)) == 1.0
+    kept = topology("unstructured").kept(model)
+    assert iou(MaskPair(kept, kept)) == 1.0
     assert kl_masked_weights(model, model) == 0.0
 
 
@@ -156,16 +158,12 @@ def test_cache_version_salts_every_key(small_task, monkeypatch):
     assert before[0] != after[0] and before[1] != after[1]
 
 
-def test_oracle_diverges_from_original(ref_runs, ref_oracles):
+def test_oracle_diverges_from_original(ref_grid):
     # The data-dependence phenomenon: retraining without the forgotten rows
     # lands on a visibly different mask even from the same seed.
-    values = []
-    for seed, run in ref_runs.items():
-        pair = MaskPair.from_models(run.pruned[0.6], ref_oracles[(seed, 0.6)])
-        value = iou(pair)
-        assert not math.isnan(value)
-        values.append(value)
-    assert all(v < 1.0 for v in values)
+    values = [row.iou for row in ref_grid[0].select(method="original")]
+    assert len(values) == 5
+    assert all(not math.isnan(v) and v < 1.0 for v in values)
 
 
 def test_cache_write_is_atomic(tmp_path, entry, monkeypatch):
