@@ -15,9 +15,8 @@ import numpy as np
 
 from unprune.config import parse_config
 from unprune.core import topology
-from unprune.experiment import cell_unprune, prepare_seed
+from unprune.experiment import cell_oracle, cell_unprune, prepare_seed
 from unprune.metrics import MaskPair, iom
-from unprune.oracle import retrain_reprune
 
 CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                       "configs", "reference.ini")
@@ -32,9 +31,8 @@ def main():
     sparsity = cfg.sparsities[0]
     runs = {seed: prepare_seed(cfg, seed) for seed in cfg.seeds}
     oracles = {
-        seed: retrain_reprune(run.train_data, run.split, cfg.arch_dims(),
-                              cfg.train, sparsity, seed, cfg.prune_mode,
-                              cfg.scope)[0]
+        seed: cell_oracle(cfg, seed, sparsity, run.train_data, run.split,
+                          None)[0]
         for seed, run in runs.items()
     }
     topo = topology(cfg.prune_mode, cfg.scope)

@@ -15,23 +15,24 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config, parse_key
 from .errors import ConfigError, FormatError, InputError
 from .experiment import (
     _prune_to,
     _scores,
     build_data,
+    cell_oracle,
     cell_unprune,
     emit_scatter,
     model_cache_dir,
     prepare_seed,
     report_from_json,
     run_experiment,
+    trace_name,
 )
 from .mia import ratio_sweep, sweep_to_csv
 from .model import load_snapshot, save_snapshot
 from .numeric import SeededRng
-from .oracle import cached_oracle
 from .prune import sparsity_of
 from .svg import line_svg
 from .train import evaluate
@@ -46,12 +47,15 @@ def _out_dir(cfg: ExperimentConfig, args) -> str:
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    """The config with --seeds and --sparsity applied, validated before any work."""
+    """The config with --seeds, --sparsity and --method applied, validated
+    before any work."""
     cfg = parse_config(args.config)
     if args.seeds:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
+        cfg = replace(cfg, seeds=parse_key("run", "seeds", args.seeds)[1])
     if getattr(args, "sparsity", None) is not None:
         cfg = replace(cfg, sparsities=(args.sparsity,))
+    if getattr(args, "method", ""):
+        cfg = replace(cfg, methods=(args.method,))
     return cfg.validate()
 
 
@@ -95,11 +99,8 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     sparsity = cfg.sparsities[0]
     train_data, _, split = build_data(cfg, seed)
-    model, wall, hit = cached_oracle(
-        model_cache_dir(cfg, out), train_data, split, cfg.arch_dims(),
-        cfg.train, sparsity, seed, cfg.prune_mode, cfg.scope, None,
-        cfg.imp_rounds,
-    )
+    model, wall, hit = cell_oracle(cfg, seed, sparsity, train_data, split,
+                                   model_cache_dir(cfg, out))
     snap = os.path.join(out, f"oracle_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
     print(f"oracle seed={seed} s={sparsity:g} wall={wall:.3f}s "
@@ -111,7 +112,7 @@ def cmd_unprune(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
     sparsity = cfg.sparsities[0]
-    method = args.method or cfg.methods[0]
+    method = cfg.methods[0]
     setup = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed,
                          model_cache_dir(cfg, out))
     model = setup.pruned[sparsity]
@@ -119,8 +120,7 @@ def cmd_unprune(cfg: ExperimentConfig, args) -> int:
                          setup.test_data, setup.split)
     snap = os.path.join(out, f"unpruned_seed{seed}_s{sparsity:g}_{method}.bin")
     save_snapshot(model, snap)
-    trace_path = os.path.join(out, f"trace_seed{seed}_s{sparsity:g}_{method}.csv")
-    trace.to_csv(trace_path)
+    trace.to_csv(os.path.join(out, trace_name(seed, sparsity, method)))
     print(f"unpruned ({method}) final sparsity={trace.final_sparsity:.4f} "
           f"-> {snap}")
     return 0

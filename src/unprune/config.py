@@ -1,8 +1,9 @@
 """Experiment configuration: a strict key=value file with [section] tables.
 
-Unknown sections or keys are hard errors so sweep definitions cannot drift
-silently. Per-method unlearning overrides live in nested tables like
-``[unlearn.gradient_ascent]``.
+``_KEYS`` is the schema: one row per key names the field it sets and how
+its text parses. Unknown sections or keys are hard errors so sweep
+definitions cannot drift silently. Per-method unlearning overrides live in
+nested tables like ``[unlearn.gradient_ascent]``.
 """
 
 from __future__ import annotations
@@ -10,28 +11,10 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 
-from .core import INIT_STRATEGIES, Structured, UnpruneConfig, topology
+from .core import Structured, UnpruneConfig, topology
 from .errors import ConfigError
 from .train import TrainCfg
 from .unlearn import METHODS, UnlearnConfig
-
-_UNLEARN_KEYS = {"steps", "rate", "fisher_noise_scale", "batch_size"}
-
-_SCHEMA: dict[str, set[str]] = {
-    "dataset": {
-        "kind", "classes", "n_per_class", "test_per_class", "dim", "spread",
-        "images", "labels", "test_images", "test_labels",
-    },
-    "model": {"hidden"},
-    "train": {"epochs", "lr", "batch_size"},
-    "delete": {"ratio", "target_class"},
-    "prune": {"mode", "sparsities", "scope"},
-    "unprune": {"grow_per_iter", "iterations", "init", "random_init_std"},
-    "unlearn": {"methods"} | _UNLEARN_KEYS,
-    "oracle": {"imp_rounds", "cache"},
-    "mia": {"ratios"},
-    "run": {"seeds", "out", "record_timing"},
-}
 
 
 @dataclass(frozen=True)
@@ -89,8 +72,6 @@ class ExperimentConfig:
             raise ConfigError(f"imp_rounds must be >= 1, got {self.imp_rounds}")
         if self.imp_rounds > 1 and isinstance(topo, Structured):
             raise ConfigError("imp_rounds > 1 needs unstructured pruning")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ConfigError(f"unknown init strategy {self.init_strategy!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if not self.sparsities:
@@ -98,10 +79,12 @@ class ExperimentConfig:
         for s in self.sparsities:
             if not 0.0 < s < 1.0:
                 raise ConfigError(f"sparsity {s} outside (0, 1)")
+        if not self.methods:
+            raise ConfigError("methods must be nonempty")
+        # Every (method, sparsity) cell's loop settings, before any training.
         for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown unlearning method {m!r}")
-            self.unlearn_config(m).validate()
+            for s in self.sparsities:
+                self.unprune_config(m, s).validate()
         if not 0.0 < self.delete_ratio < 1.0:
             raise ConfigError(f"delete ratio {self.delete_ratio} outside (0, 1)")
         if self.jobs != 1:
@@ -124,30 +107,71 @@ class ExperimentConfig:
         return [self.dim, *self.hidden, self.classes]
 
 
-def _parse_value(section: str, key: str, raw: str):
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+def _csv(item):
+    return lambda raw: tuple(item(v.strip()) for v in raw.split(",")
+                             if v.strip())
+
+
+_UNLEARN_ROWS = {
+    "steps": ("unlearn_defaults.steps", int),
+    "rate": ("unlearn_defaults.rate", float),
+    "fisher_noise_scale": ("unlearn_defaults.fisher_noise_scale", float),
+    "batch_size": ("unlearn_defaults.batch_size", int),
+}
+
+# The schema of the config file: _KEYS[section][key] = (field, parse), where
+# field is an ExperimentConfig attribute path. In an [unlearn.<method>]
+# table the unlearn rows set that method's override, not the default.
+_KEYS: dict[str, dict[str, tuple]] = {
+    "dataset": {"kind": ("dataset_kind", str),
+                "classes": ("classes", int),
+                "n_per_class": ("n_per_class", int),
+                "test_per_class": ("test_per_class", int),
+                "dim": ("dim", int),
+                "spread": ("spread", float),
+                "images": ("images", str),
+                "labels": ("labels", str),
+                "test_images": ("test_images", str),
+                "test_labels": ("test_labels", str)},
+    "model": {"hidden": ("hidden", _csv(int))},
+    "train": {"epochs": ("train.epochs", int),
+              "lr": ("train.lr", float),
+              "batch_size": ("train.batch_size", int)},
+    "delete": {"ratio": ("delete_ratio", float),
+               "target_class": ("target_class",
+                                lambda raw: int(raw) if raw else None)},
+    "prune": {"mode": ("prune_mode", str),
+              "sparsities": ("sparsities", _csv(float)),
+              "scope": ("scope", str)},
+    "unprune": {"grow_per_iter": ("grow_per_iter", float),
+                "iterations": ("iterations", int),
+                "init": ("init_strategy", str),
+                "random_init_std": ("random_init_std", float)},
+    "unlearn": {"methods": ("methods", _csv(str)), **_UNLEARN_ROWS},
+    **{f"unlearn.{method}": _UNLEARN_ROWS for method in METHODS},
+    "oracle": {"imp_rounds": ("imp_rounds", int),
+               "cache": ("oracle_cache", _bool)},
+    "mia": {"ratios": ("mia_ratios", _csv(float))},
+    "run": {"seeds": ("seeds", _csv(int)),
+            "out": ("out_dir", str),
+            "record_timing": ("record_timing", _bool)},
+}
+
+
+def parse_key(section: str, key: str, raw: str) -> tuple[str, object]:
+    """The (field, value) that ``key = raw`` sets in a known ``[section]``."""
+    if key not in _KEYS[section]:
+        raise ConfigError(f"unknown key {key!r} in [{section}]")
+    field_path, parse = _KEYS[section][key]
     raw = raw.strip()
     try:
-        if key in {"classes", "n_per_class", "test_per_class", "dim", "epochs",
-                   "batch_size", "iterations", "steps", "imp_rounds"}:
-            return int(raw)
-        if key in {"spread", "lr", "ratio", "grow_per_iter", "random_init_std",
-                   "rate", "fisher_noise_scale"}:
-            return float(raw)
-        if key in {"cache", "record_timing"}:
-            if raw.lower() not in ("true", "false"):
-                raise ValueError(raw)
-            return raw.lower() == "true"
-        if key == "hidden":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if key in {"sparsities", "ratios"}:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if key == "seeds":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if key == "methods":
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-        if key == "target_class":
-            return None if raw == "" else int(raw)
-        return raw
+        return field_path, parse(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
@@ -159,55 +183,26 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
-    values: dict = {}
-    train_kw: dict = {}
-    unlearn_kw: dict = {}
+    kw: dict[str, dict] = {"": {}, "train": {}, "unlearn_defaults": {}}
     overrides: dict = {}
-
     for section in parser.sections():
-        if section.startswith("unlearn."):
-            method = section.split(".", 1)[1]
-            if method not in METHODS:
-                raise ConfigError(f"unknown method section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in _UNLEARN_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-                overrides.setdefault(method, {})[key] = _parse_value(
-                    section, key, raw
-                )
-            continue
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+        if section not in _KEYS:
+            kind = "method " if section.startswith("unlearn.") else ""
+            raise ConfigError(f"unknown {kind}section [{section}]")
+        method = section.partition(".")[2]
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-            value = _parse_value(section, key, raw)
-            if section == "train":
-                train_kw[key] = value
-            elif section == "unlearn" and key != "methods":
-                unlearn_kw[key] = value
-            elif section == "dataset" and key == "kind":
-                values["dataset_kind"] = value
-            elif section == "delete" and key == "ratio":
-                values["delete_ratio"] = value
-            elif section == "prune" and key == "mode":
-                values["prune_mode"] = value
-            elif section == "unprune" and key == "init":
-                values["init_strategy"] = value
-            elif section == "oracle" and key == "cache":
-                values["oracle_cache"] = value
-            elif section == "mia" and key == "ratios":
-                values["mia_ratios"] = value
-            elif section == "run" and key == "out":
-                values["out_dir"] = value
+            field_path, value = parse_key(section, key, raw)
+            owner, _, name = field_path.rpartition(".")
+            if method:
+                overrides.setdefault(method, {})[name] = value
             else:
-                values[key] = value
+                kw[owner][name] = value
 
     cfg = ExperimentConfig(
-        train=TrainCfg(**train_kw),
-        unlearn_defaults=UnlearnConfig(**unlearn_kw),
+        train=TrainCfg(**kw["train"]),
+        unlearn_defaults=UnlearnConfig(**kw["unlearn_defaults"]),
         unlearn_overrides=overrides,
-        **values,
+        **kw[""],
     )
     return cfg.validate()
 

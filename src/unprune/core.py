@@ -226,6 +226,18 @@ def topology(mode: str, scope: str = "global") -> Unstructured | Structured:
     return topo
 
 
+def ua_ta(model: MaskedModel, dataset: Dataset, split: DeletionSplit,
+          test_data: Dataset | None) -> tuple[float, float]:
+    """(UA, TA): accuracy on the forget rows, then on ``test_data`` if there
+    is any, else on the retain rows."""
+    _, ua = evaluate(model, dataset, split.forget_indices)
+    if test_data is not None:
+        _, ta = evaluate(model, test_data, np.arange(test_data.n))
+    else:
+        _, ta = evaluate(model, dataset, split.retain_indices)
+    return ua, ta
+
+
 def unprune(
     model: MaskedModel,
     dataset: Dataset,
@@ -241,15 +253,10 @@ def unprune(
     The model must already be pruned. Unlearning runs with masks ignored
     (all parameters trainable); the mask re-asserts after each grow step, and
     a final one-shot prune (in ``mode`` and ``scope``) restores the original
-    sparsity. TA in the trace is measured on ``test_data`` when given, else
-    on the retain rows.
+    sparsity. The trace's UA and TA are ``ua_ta``'s.
     """
     config.validate()
     topo = topology(mode, scope)
-    eval_data = test_data if test_data is not None else dataset
-    eval_rows = (
-        np.arange(test_data.n) if test_data is not None else split.retain_indices
-    )
     trace = UnpruneTrace(initial_sparsity=sparsity_of(model).sparsity)
     for t in range(config.iterations):
         reinit_pruned(
@@ -260,8 +267,7 @@ def unprune(
                 dense=True)
         grown = topo.grow(model, config.grow_per_iter)
         apply_mask(model)
-        _, ua = evaluate(model, dataset, split.forget_indices)
-        _, ta = evaluate(model, eval_data, eval_rows)
+        ua, ta = ua_ta(model, dataset, split, test_data)
         trace.record(t, sparsity_of(model).sparsity, ua, ta, len(grown))
         trace.grown.append(grown)
     topo.prune(model, config.original_sparsity)

@@ -8,7 +8,7 @@ is on disk.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class Dataset:
 class DeletionSplit:
     forget_indices: np.ndarray    # sorted row indices of D_f
     retain_indices: np.ndarray    # sorted row indices of D_r
-    delete_ratio: float
-    seed: int
 
     def __post_init__(self):
         f = np.asarray(self.forget_indices, dtype=np.int64)
@@ -68,10 +66,6 @@ class DeletionSplit:
         object.__setattr__(self, "retain_indices", np.sort(r))
         self.forget_indices.flags.writeable = False
         self.retain_indices.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return len(self.forget_indices) + len(self.retain_indices)
 
 
 def _blob_means(classes: int, dim: int) -> np.ndarray:
@@ -214,9 +208,4 @@ def split_delete(
     mask = np.ones(n, dtype=bool)
     mask[forget] = False
     retain = np.flatnonzero(mask)
-    return DeletionSplit(
-        forget_indices=forget,
-        retain_indices=retain,
-        delete_ratio=ratio,
-        seed=rng.seed,
-    )
+    return DeletionSplit(forget_indices=forget, retain_indices=retain)

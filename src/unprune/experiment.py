@@ -21,14 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import UnpruneTrace, topology, unprune
+from .core import UnpruneTrace, topology, ua_ta, unprune
 from .data import Dataset, DeletionSplit, gen_blobs, load_idx, split_delete
 from .errors import ConfigError
 from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from .model import MaskedModel
 from .numeric import SeededRng
 from .oracle import build_model, cached_model, cached_oracle, dense_key
-from .train import TrainLog, evaluate, train_with_cfg
+from .train import TrainLog, train_with_cfg
 
 CSV_COLUMNS = ("seed", "method", "sparsity", "iom", "uom", "iou", "kl",
                "ta", "ua", "wall_time_s")
@@ -144,11 +144,7 @@ def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
 
     UA and TA depend on the model alone, so they are evaluated once.
     """
-    _, ua = evaluate(model, train_data, split.forget_indices)
-    if test_data is not None:
-        _, ta = evaluate(model, test_data, np.arange(test_data.n))
-    else:
-        _, ta = evaluate(model, train_data, split.retain_indices)
+    ua, ta = ua_ta(model, train_data, split, test_data)
     topo = topology(cfg.prune_mode, cfg.scope)
     scores = []
     for ref in refs:
@@ -162,6 +158,20 @@ def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
             "ua": ua,
         })
     return scores
+
+
+def cell_oracle(cfg, seed, sparsity, train_data, split, cache_dir
+                ) -> tuple[MaskedModel, float, bool]:
+    """The (seed, sparsity) cell's retrain+reprune oracle through the model
+    cache at ``cache_dir`` (None trains it); returns (model, wall_s, hit)."""
+    return cached_oracle(cache_dir, train_data, split, cfg.arch_dims(),
+                         cfg.train, sparsity, seed, cfg.prune_mode, cfg.scope,
+                         None, cfg.imp_rounds)
+
+
+def trace_name(seed: int, sparsity: float, method: str) -> str:
+    """The file name of one cell's un-pruning trace."""
+    return f"trace_seed{seed}_s{sparsity:g}_{method}.csv"
 
 
 def cell_unprune(cfg, seed, sparsity, method, model, train_data, test_data,
@@ -217,11 +227,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
          prune_wall) = prepare_seed(cfg, seed, cache_dir)
         for sparsity in cfg.sparsities:
             pruned = pruned_at[sparsity]
-            oracle, oracle_wall, _ = cached_oracle(
-                cache_dir, train_data, split, cfg.arch_dims(), cfg.train,
-                sparsity, seed, cfg.prune_mode, cfg.scope, None,
-                cfg.imp_rounds,
-            )
+            oracle, oracle_wall, _ = cell_oracle(
+                cfg, seed, sparsity, train_data, split, cache_dir)
             timing = cfg.record_timing
             report.rows.append(CellRow(
                 seed=seed, method="original", sparsity=sparsity,
@@ -261,9 +268,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
         traces_dir = os.path.join(out_dir, "traces")
         os.makedirs(traces_dir, exist_ok=True)
         for (seed, sparsity, method), trace in sorted(traces.items()):
-            trace.to_csv(os.path.join(
-                traces_dir, f"trace_seed{seed}_s{sparsity:g}_{method}.csv"
-            ))
+            trace.to_csv(os.path.join(traces_dir,
+                                      trace_name(seed, sparsity, method)))
     return report
 
 

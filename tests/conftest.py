@@ -13,8 +13,12 @@ from dataclasses import replace
 import pytest
 
 from unprune.config import parse_config
-from unprune.experiment import model_cache_dir, prepare_seed, run_experiment
-from unprune.oracle import cached_oracle
+from unprune.experiment import (
+    cell_oracle,
+    model_cache_dir,
+    prepare_seed,
+    run_experiment,
+)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "configs")
@@ -76,13 +80,10 @@ def struct_runs(struct_cfg, struct_grid):
 @pytest.fixture(scope="session")
 def ref_oracles(ref_cfg, ref_grid, ref_runs):
     """The reference grid's retrain+reprune oracle, one per seed."""
-    cfg = ref_cfg
-    cache_dir = model_cache_dir(cfg, str(ref_grid[1]))
+    cache_dir = model_cache_dir(ref_cfg, str(ref_grid[1]))
     out = {}
     for seed, run in ref_runs.items():
-        out[seed], _, hit = cached_oracle(
-            cache_dir, run.train_data, run.split, cfg.arch_dims(), cfg.train,
-            cfg.sparsities[0], seed, cfg.prune_mode, cfg.scope, None,
-            cfg.imp_rounds)
+        out[seed], _, hit = cell_oracle(ref_cfg, seed, ref_cfg.sparsities[0],
+                                        run.train_data, run.split, cache_dir)
         assert hit, f"seed {seed}: oracle not cached"
     return out

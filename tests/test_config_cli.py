@@ -1,7 +1,10 @@
+import configparser
+import functools
 import hashlib
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,7 +12,12 @@ import unprune.experiment as experiment_module
 import unprune.oracle as oracle_module
 from unprune import cli
 from unprune.cli import main
-from unprune.config import parse_config, parse_config_text
+from unprune.config import (
+    _KEYS,
+    ExperimentConfig,
+    parse_config,
+    parse_config_text,
+)
 from unprune.errors import ConfigError
 from unprune.experiment import (
     ExperimentReport,
@@ -22,6 +30,8 @@ from unprune.experiment import (
 )
 from unprune.model import save_snapshot, snapshot_header
 from unprune.oracle import build_model
+from unprune.train import TrainCfg
+from unprune.unlearn import METHODS, UnlearnConfig
 
 TINY_CONFIG = """
 [dataset]
@@ -105,6 +115,111 @@ def test_structured_imp_rounds_rejected():
         parse_config_text("[prune]\nmode = structured\n"
                           "[oracle]\nimp_rounds = 3\n")
     parse_config_text("[prune]\nmode = structured\n[oracle]\nimp_rounds = 1\n")
+
+
+# Every key of the schema, each set to a value other than its default, but
+# imp_rounds: above 1 it needs unstructured pruning, so a second config
+# sets it.
+EVERY_KEY = """
+[dataset]
+kind = idx
+classes = 3
+n_per_class = 7
+test_per_class = 8
+dim = 4
+spread = 0.5
+images = a.idx
+labels = b.idx
+test_images = c.idx
+test_labels = d.idx
+
+[model]
+hidden = 5,6
+
+[train]
+epochs = 9
+lr = 0.2
+batch_size = 10
+
+[delete]
+ratio = 0.2
+target_class = 1
+
+[prune]
+mode = structured
+sparsities = 0.5,0.7
+scope = per_layer
+
+[unprune]
+grow_per_iter = 0.1
+iterations = 4
+init = random
+random_init_std = 0.02
+
+[unlearn]
+methods = finetune,noop
+steps = 7
+rate = 0.02
+fisher_noise_scale = 0.003
+batch_size = 9
+
+[oracle]
+imp_rounds = 1
+cache = false
+
+[mia]
+ratios = 0.5,0.9
+
+[run]
+seeds = 3,4
+out = elsewhere
+record_timing = false
+""" + "".join(
+    f"\n[unlearn.{m}]\nsteps = {11 + i}\nrate = 0.{5 + i}\n"
+    f"fisher_noise_scale = 0.00{5 + i}\nbatch_size = {21 + i}\n"
+    for i, m in enumerate(METHODS))
+
+
+def _field(cfg, section, field_path):
+    method = section.partition(".")[2]
+    if method:
+        return getattr(cfg.unlearn_config(method), field_path.split(".")[-1])
+    return functools.reduce(getattr, field_path.split("."), cfg)
+
+
+def _ini_and_config(text):
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(text)
+    return ini, parse_config_text(text)
+
+
+def test_every_key_lands_in_its_field():
+    every = _ini_and_config(EVERY_KEY)
+    imp = _ini_and_config(EVERY_KEY.replace("mode = structured\n", "")
+                          .replace("imp_rounds = 1", "imp_rounds = 2"))
+    defaults = ExperimentConfig()
+    assert set(every[0].sections()) == set(_KEYS)
+    for section, rows in _KEYS.items():
+        assert set(every[0][section]) == set(rows), section
+        for key, (field_path, parse) in rows.items():
+            ini, cfg = imp if key == "imp_rounds" else every
+            value = parse(ini[section][key])
+            assert value != _field(defaults, section, field_path), (section, key)
+            assert _field(cfg, section, field_path) == value, (section, key)
+
+
+def test_each_field_has_one_key():
+    paths = Counter(path for rows in _KEYS.values()
+                    for path, _ in rows.values())
+    nested = {"train", "unlearn_defaults", "unlearn_overrides", "jobs"}
+    top = {f.name for f in fields(ExperimentConfig)} - nested
+    assert ({p: n for p, n in paths.items() if "." not in p}
+            == dict.fromkeys(top, 1))
+    assert {p for p in paths if p.startswith("train.")} == {
+        f"train.{f.name}" for f in fields(TrainCfg)}
+    assert {p for p in paths if p.startswith("unlearn_defaults.")} == {
+        f"unlearn_defaults.{f.name}" for f in fields(UnlearnConfig)
+        if f.name != "method"}
 
 
 def test_per_method_overrides():
@@ -344,6 +459,77 @@ def test_cli_sparsity_outside_unit_interval_rejected_before_work(
                  str(tmp_path / "o"), "--sparsity", sparsity]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: sparsity {float(sparsity)} outside (0, 1)\n"
+
+
+# (TINY_CONFIG line, its replacement, the error): each cell of such a
+# config cannot run. 0.3 x 2 iterations underflows the 0.5 sparsity.
+BAD_UNPRUNE = [
+    ("iterations = 2", "iterations = 0", "iterations must be >= 1"),
+    ("grow_per_iter = 0.05", "grow_per_iter = 0.3", "sparsity underflow"),
+    ("iterations = 2", "iterations = 2\nrandom_init_std = -1",
+     "random_init_std must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("old, new, error", BAD_UNPRUNE,
+                         ids=["iterations", "underflow", "random_init_std"])
+def test_bad_unprune_settings_rejected_before_training(
+        tmp_path, monkeypatch, capsys, old, new, error):
+    text = TINY_CONFIG.replace(old, new)
+    with pytest.raises(ConfigError, match=error):
+        parse_config_text(text)
+    calls = []
+    monkeypatch.setattr(experiment_module, "train_with_cfg", _counting(
+        calls, "train", experiment_module.train_with_cfg))
+    config_path = tmp_path / "bad.ini"
+    config_path.write_text(text)
+    assert main(["run", "--config", str(config_path), "--out",
+                 str(tmp_path / "o")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
+
+
+def test_empty_method_list_rejected(tmp_path, capsys):
+    # With no method there is no cell to check the [unprune] settings on,
+    # and `unprune` has no method to run.
+    text = TINY_CONFIG.replace("methods = noop,finetune", "methods =")
+    with pytest.raises(ConfigError, match="methods must be nonempty"):
+        parse_config_text(text.replace("iterations = 2", "iterations = 0"))
+    config_path = tmp_path / "no_methods.ini"
+    config_path.write_text(text)
+    assert main(["unprune", "--config", str(config_path), "--out",
+                 str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: methods must be nonempty\n"
+
+
+def test_cli_unknown_method_rejected_before_work(tmp_path, monkeypatch,
+                                                 capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the model was built before --method was checked")
+
+    monkeypatch.setattr(cli, "prepare_seed", no_work)
+    monkeypatch.setattr(cli, "build_data", no_work)
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    assert main(["unprune", "--config", str(config_path), "--out",
+                 str(tmp_path / "o"), "--method", "bogus"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: unknown unlearning method 'bogus'\n")
+
+
+@pytest.mark.parametrize("seeds", ["0,x", ","])
+def test_cli_malformed_seeds_are_a_config_error(tmp_path, monkeypatch, capsys,
+                                                seeds):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --seeds was checked")
+
+    monkeypatch.setattr(cli, "prepare_seed", no_work)
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    assert main(["train", "--config", str(config_path), "--out",
+                 str(tmp_path / "o"), "--seeds", seeds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_cli_input_and_format_errors_exit_1(tmp_path, capsys):
