@@ -221,9 +221,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
     cache_dir = model_cache_dir(cfg, out_dir)
 
     for seed in cfg.seeds:
-        # The training log is dropped here; `dense` stays bound (freeing it
-        # early cost a structured seed ~20-35 k more minor page faults).
-        (train_data, test_data, split, dense, _, dense_wall, pruned_at,
+        (train_data, test_data, split, _, _, dense_wall, pruned_at,
          prune_wall) = prepare_seed(cfg, seed, cache_dir)
         for sparsity in cfg.sparsities:
             pruned = pruned_at[sparsity]

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InputError, ShapeError
-from .numeric import SeededRng, matmul, softmax_cross_entropy
+from .numeric import (
+    SeededRng,
+    _cross_entropy_rows,
+    _true_class_index,
+    matmul,
+    softmax_cross_entropy,
+)
 
 ACTIVATIONS = ("relu", "none")
 
@@ -123,8 +129,9 @@ def init_model(specs: list[LayerSpec], rng: SeededRng) -> MaskedModel:
 
 def _forward_trace(
     model: MaskedModel, inputs: np.ndarray, masked: bool
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Returns (per-layer activations incl. input, per-layer pre-activations)."""
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Returns (per-layer activations incl. input, per-layer pre-activations,
+    per-layer weights as applied: ``w * m`` when masked, else ``w``)."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layers[0].in_dim:
         raise ShapeError(
@@ -132,18 +139,20 @@ def _forward_trace(
         )
     acts = [x]
     pre = []
+    applied = []
     for spec, w, b, m in zip(model.layers, model.weights, model.biases, model.masks):
         w_eff = w * m if masked else w
+        applied.append(w_eff)
         z = matmul(acts[-1], w_eff.T)
         z += b
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
-    return acts, pre
+    return acts, pre, applied
 
 
 def forward(model: MaskedModel, inputs: np.ndarray, masked: bool = True) -> np.ndarray:
     """Logits of the (masked) model for a batch of inputs."""
-    acts, _ = _forward_trace(model, inputs, masked)
+    acts, _, _ = _forward_trace(model, inputs, masked)
     return acts[-1]
 
 
@@ -157,23 +166,20 @@ def backward(
 
     With ``masked=True`` the gradient of every masked-out weight is exactly 0.
     ``masked=False`` treats the model as dense (mask ignored in both passes).
+    A step loop uses a ``GradientStep``, which runs the same functions.
     """
-    acts, pre = _forward_trace(model, inputs, masked)
-    loss, delta = softmax_cross_entropy(acts[-1], labels)
-    return loss, _backward_from_trace(model, acts, pre, delta, masked)
+    trace = _forward_trace(model, inputs, masked)
+    loss, delta = softmax_cross_entropy(trace[0][-1], labels)
+    return loss, _backward_from_trace(model, trace, delta, masked)
 
 
-def _backward_from_trace(
-    model: MaskedModel,
-    acts: list[np.ndarray],
-    pre: list[np.ndarray],
-    delta: np.ndarray,
-    masked: bool,
-) -> GradientSet:
+def _backward_from_trace(model: MaskedModel, trace, delta: np.ndarray,
+                         masked: bool) -> GradientSet:
     """Parameter gradients from a ``_forward_trace`` and the logit gradient."""
+    acts, pre, applied = trace
     g_w = [None] * len(model.layers)
     g_b = [None] * len(model.layers)
-    for l, d in _layer_deltas(model, pre, delta, masked):
+    for l, d in _layer_deltas(model, pre, applied, delta):
         g_w[l] = matmul(d.T, acts[l])
         if masked:
             g_w[l] *= model.masks[l]
@@ -181,20 +187,69 @@ def _backward_from_trace(
     return GradientSet(weights=g_w, biases=g_b)
 
 
-def _layer_deltas(model: MaskedModel, pre: list[np.ndarray], delta: np.ndarray,
-                  masked: bool):
+def _layer_deltas(model: MaskedModel, pre: list[np.ndarray],
+                  applied: list[np.ndarray], delta: np.ndarray):
     """Yield ``(l, delta)`` from the last layer down: the ReLU recursion.
 
     ``delta`` is the loss gradient at layer ``l``'s pre-activation; the caller
     uses it before the next is made, so matmuls run dW(L-1), dX(L-1), ...
+    ``pre`` and ``applied`` come from the ``_forward_trace`` of the batch.
     """
     for l in range(len(model.layers) - 1, -1, -1):
         yield l, delta
         if l > 0:
-            w_eff = model.weights[l] * model.masks[l] if masked else model.weights[l]
-            delta = matmul(delta, w_eff)
+            delta = matmul(delta, applied[l])
             if model.layers[l - 1].activation == "relu":
                 delta *= pre[l - 1] > 0.0
+
+
+class GradientStep:
+    """``backward`` for a step loop, split into its forward pass, loss
+    gradient and backward pass.
+
+    A step loop (one training run, one unlearning run) makes one and calls
+    ``forward``, ``loss_gradient`` and ``backward`` (or ``gradients``) on
+    every step. They run the functions ``backward`` runs, so the bits are
+    the same, but the loss is computed only when asked for, and a labels
+    array that repeats is checked once.
+    """
+
+    def __init__(self, masked: bool):
+        self.masked = masked
+        self._trace = None
+        self._delta = None
+        self._labels = None
+        self._true_index = None
+
+    def forward(self, model: MaskedModel, inputs: np.ndarray) -> np.ndarray:
+        """The batch's logits; the trace is kept for ``backward``."""
+        self._trace = _forward_trace(model, inputs, self.masked)
+        return self._trace[0][-1]
+
+    def loss_gradient(self, labels: np.ndarray, nll: bool = False):
+        """The logit gradient of the last forward batch's mean loss.
+
+        Returns the per-row negative log-likelihoods with ``nll``, else None.
+        ``labels`` are checked once per array object: a step loop that
+        passes the same batch again does not check it again.
+        """
+        logits = self._trace[0][-1]
+        if labels is not self._labels or len(self._true_index) != len(logits):
+            self._true_index = _true_class_index(labels, *logits.shape)
+            self._labels = labels
+        rows_nll, self._delta = _cross_entropy_rows(logits, self._true_index, nll)
+        return rows_nll
+
+    def backward(self, model: MaskedModel) -> GradientSet:
+        """Parameter gradients of the last ``loss_gradient``."""
+        return _backward_from_trace(model, self._trace, self._delta, self.masked)
+
+    def gradients(self, model: MaskedModel, inputs: np.ndarray,
+                  labels: np.ndarray) -> GradientSet:
+        """One batch's forward, loss gradient and backward."""
+        self.forward(model, inputs)
+        self.loss_gradient(labels)
+        return self.backward(model)
 
 
 def apply_mask(model: MaskedModel) -> MaskedModel:

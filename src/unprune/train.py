@@ -15,16 +15,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError, NumericError
-from .model import (
-    GradientSet,
-    MaskedModel,
-    _backward_from_trace,
-    _forward_trace,
-    apply_mask,
-    backward,
-    forward,
-)
-from .numeric import SeededRng, _cross_entropy_rows, _mean_loss, softmax_cross_entropy
+from .model import GradientSet, GradientStep, MaskedModel, apply_mask, forward
+from .model import backward  # noqa: F401  (perfbench wraps unprune.train.backward)
+from .numeric import SeededRng, _mean_loss, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -84,36 +77,33 @@ def train_sgd(
     if batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {batch_size}")
     full_batch = batch_size >= len(indices)
+    step = GradientStep(masked=True)
     log = TrainLog()
     for epoch in range(epochs):
         perm = rng.permutation(len(indices))
         order = indices[perm]
         x, y = dataset.inputs[order], dataset.labels[order]
         if full_batch:
-            # Inline, not a helper: the step's arrays stay alive until the
-            # next epoch rebinds them, so malloc does not trim the heap and
-            # fault it back in every step (glibc, 800 rows: ~40 instead of
-            # ~290 minor page faults per epoch).
             with _diverged_at(max(epoch - 1, 0)):
                 # This pass sees the model as the previous epoch left it.
-                acts, pre = _forward_trace(model, x, masked=True)
-                nll, delta = _cross_entropy_rows(acts[-1], y)
-                # evaluate sums the per-row losses in `indices` order.
-                by_index = np.empty_like(nll)
-                by_index[perm] = nll
-                loss = _mean_loss(by_index)
+                logits = step.forward(model, x)
+                nll = step.loss_gradient(y, nll=epoch > 0)
+                if epoch > 0:
+                    # evaluate sums the per-row losses in `indices` order.
+                    by_index = np.empty_like(nll)
+                    by_index[perm] = nll
+                    loss = _mean_loss(by_index)
             if epoch > 0:
-                accuracy = float((np.argmax(acts[-1], axis=1) == y).mean())
+                accuracy = float((np.argmax(logits, axis=1) == y).mean())
                 log.record(epoch - 1, "train", loss, accuracy)
             with _diverged_at(epoch):
-                grads = _backward_from_trace(model, acts, pre, delta, masked=True)
-                sgd_step(model, grads, lr)
+                sgd_step(model, step.backward(model), lr)
                 apply_mask(model)
         else:
             with _diverged_at(epoch):
                 for start in range(0, len(order), batch_size):
-                    _, grads = backward(model, x[start:start + batch_size],
-                                        y[start:start + batch_size])
+                    grads = step.gradients(model, x[start:start + batch_size],
+                                           y[start:start + batch_size])
                     sgd_step(model, grads, lr)
                     apply_mask(model)
         if full_batch and epoch < epochs - 1:

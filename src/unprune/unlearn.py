@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, DeletionSplit
 from .errors import ConfigError, InputError
-from .model import GradientSet, MaskedModel, _forward_trace, _layer_deltas, backward
+from .model import GradientSet, GradientStep, MaskedModel, _forward_trace, _layer_deltas
 from .numeric import SeededRng, matmul, softmax
 from .train import sgd_step
 
@@ -53,9 +53,9 @@ class UnlearnConfig:
 
 def _descend(model: MaskedModel, batches, rate: float, dense: bool) -> MaskedModel:
     """One ``sgd_step`` on the loss of each ``(inputs, labels)`` batch, in place."""
+    step = GradientStep(masked=not dense)
     for x, y in batches:
-        _, grads = backward(model, x, y, masked=not dense)
-        sgd_step(model, grads, rate)
+        sgd_step(model, step.gradients(model, x, y), rate)
     return model
 
 
@@ -92,14 +92,14 @@ def fisher_diag(
         raise InputError("fisher row set is empty")
     x = dataset.inputs[rows]
     y = dataset.labels[rows]
-    acts, pre = _forward_trace(model, x, masked=not dense)
+    acts, pre, applied = _forward_trace(model, x, masked=not dense)
     # Per-sample gradient of the per-sample loss: no 1/batch factor.
     delta = softmax(acts[-1])
     delta[np.arange(len(rows)), y] -= 1.0
     n = float(len(rows))
     f_w = [None] * len(model.layers)
     f_b = [None] * len(model.layers)
-    for l, d in _layer_deltas(model, pre, delta, masked=not dense):
+    for l, d in _layer_deltas(model, pre, applied, delta):
         f_w[l] = matmul((d ** 2).T, acts[l] ** 2) / n
         if not dense:
             f_w[l] *= model.masks[l]
@@ -158,22 +158,23 @@ def unlearn_finetune(
 
 def _retain_batches(dataset: Dataset, rows: np.ndarray, steps: int,
                     batch_size: int, rng: SeededRng):
-    """Finetune's batches: all rows, or slices of a reshuffled permutation.
+    """Finetune's batches: one batch of all rows, or slices of a reshuffled
+    permutation.
 
     The first shuffle is drawn even when all rows fit, as it always was.
     """
-    full_batch = batch_size >= len(rows)
     order = rows[rng.permutation(len(rows))]
+    if batch_size >= len(rows):
+        yield from itertools.repeat((dataset.inputs[rows], dataset.labels[rows]),
+                                    steps)
+        return
     cursor = 0
     for _ in range(steps):
-        if full_batch:
-            batch = rows
-        else:
-            if cursor + batch_size > len(order):
-                order = rows[rng.permutation(len(rows))]
-                cursor = 0
-            batch = order[cursor:cursor + batch_size]
-            cursor += batch_size
+        if cursor + batch_size > len(order):
+            order = rows[rng.permutation(len(rows))]
+            cursor = 0
+        batch = order[cursor:cursor + batch_size]
+        cursor += batch_size
         yield dataset.inputs[batch], dataset.labels[batch]
 
 

@@ -84,7 +84,7 @@ def test_criterion_02_gradient_fidelity():
                 b[...] = data_rng.normal(b.size, 0.0, 0.1)
             x = data_rng.normal(4 * 3).reshape(4, 3)
             labels = data_rng.integers(0, dims[-1], 4)
-            _, pre = _forward_trace(model, x, True)
+            _, pre, _ = _forward_trace(model, x, True)
             if min(float(np.abs(z).min()) for z in pre) >= 1e-3:
                 break
         else:
@@ -240,16 +240,22 @@ def test_criterion_07_init_strategy_ordering(ref_cfg, ref_grid, ref_runs,
                                               sparsity=sparsity)]))}
     cfg = replace(ref_cfg, init_strategy="random")
     values = []
+    # Seeds whose random-init un-pruned mask is the pruned mask it started
+    # from: on those the random arm did nothing to the topology.
+    unmoved = 0
     for seed, run in ref_runs.items():
         model = run.pruned[sparsity].clone()
         cell_unprune(cfg, seed, sparsity, "gradient_ascent", model,
                      run.train_data, run.test_data, run.split)
+        unmoved += np.array_equal(model.flat_masks(),
+                                  run.pruned[sparsity].flat_masks())
         values.append(_scores(cfg, model, (ref_oracles[seed],), run.train_data,
                               run.test_data, run.split)[0]["iom"])
     means["random"] = float(np.mean(values))
     ok = means["original"] >= means["random"]
     detail = (f"mean IoM original={means['original']:.4f} vs "
-              f"random={means['random']:.4f}")
+              f"random={means['random']:.4f}; random-init mask equals the "
+              f"pruned mask on {unmoved}/{len(ref_runs)} seeds")
     if not ok:
         # The criterion downgrades to qualitative when the ordering fails:
         # raw values are reported either way.

@@ -1,0 +1,122 @@
+"""A step loop's gradient path gives the bits of ``model.backward``.
+
+``model.backward`` is the reference; ``GradientStep`` runs the same
+functions for a step loop, skipping the loss and repeated label checks.
+The two must agree to the last bit, signed zeros included, or every pinned
+digest would move.
+"""
+
+import numpy as np
+import pytest
+
+from unprune import numeric
+from unprune.data import gen_blobs
+from unprune.errors import NumericError
+from unprune.model import GradientStep, backward, init_model, mlp_specs
+from unprune.numeric import SeededRng, softmax
+from unprune.oracle import build_model
+from unprune.train import sgd_step, train_sgd
+from unprune.unlearn import unlearn_gradient_ascent
+
+
+def _same_bits(expected, got):
+    for a, b in zip(expected, got, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _model_with_signed_zeros(classes, masked, seed):
+    model = init_model(mlp_specs([3, 8, 6, classes]), SeededRng(seed).split("init"))
+    rng = SeededRng(seed).split("edit")
+    for w, b, m in zip(model.weights, model.biases, model.masks):
+        flat = w.reshape(-1)
+        picks = rng.choice(flat.size, 4)
+        flat[picks[:2]] = 0.0
+        flat[picks[2:]] = -0.0
+        b[::2] = -0.0
+        if masked:
+            m[rng.uniform(0.0, 1.0, m.size).reshape(m.shape) < 0.3] = 0.0
+    # Dead hidden units: their ReLU derivative turns each delta they receive
+    # into a zero with that delta's sign.
+    for l, unit in ((0, 1), (0, 4), (0, 6), (1, 2), (1, 5)):
+        model.weights[l][unit] = -0.0
+        model.biases[l][unit] = -1.0
+    return model
+
+
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("rows", [1, 7, 40, 360])
+@pytest.mark.parametrize("classes", [2, 3, 10])
+def test_gradient_step_matches_backward_bit_for_bit(masked, rows, classes):
+    model = _model_with_signed_zeros(classes, masked, seed=rows * 10 + classes)
+    rng = SeededRng(rows).split("batch")
+    x = rng.normal(rows * 3).reshape(rows, 3)
+    y = rng.permutation(rows) % classes
+    half = max(rows // 2, 1)
+    # The full batch twice (labels checked once), then a smaller batch.
+    batches = [(x, y), (x, y), (x[:half], y[:half])]
+    ref, got = model.clone(), model.clone()
+    step = GradientStep(masked)
+    rate = 0.5
+    for bx, by in batches:
+        _, g_ref = backward(ref, bx, by, masked=masked)
+        g_step = step.gradients(got, bx, by)
+        _same_bits(g_ref.weights + g_ref.biases, g_step.weights + g_step.biases)
+        for p, g in zip(ref.weights + ref.biases, g_ref.weights + g_ref.biases):
+            p -= rate * g
+        sgd_step(got, g_step, rate)
+        _same_bits(ref.weights + ref.biases, got.weights + got.biases)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 10])
+def test_softmax_matches_row_max_formula(classes):
+    z = SeededRng(classes).normal(37 * classes, 0.0, 30.0).reshape(37, classes)
+    z[0] = 0.0
+    z[1] = -0.0
+    z[2] = z[2, 0]         # a tie across every class
+    z[3, 0] = 700.0        # exp would overflow without the shift
+    z[4, -1] = -700.0      # and underflow to 0
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    expected = e / e.sum(axis=1, keepdims=True)
+    _same_bits([expected], [softmax(z)])
+
+
+def test_full_batch_divergence_mid_run_names_epoch():
+    # The first step leaves finite weights whose next forward pass overflows;
+    # that pass scores the model epoch 0 left.
+    data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
+    model = build_model([2, 12, 2], 9)
+    with pytest.raises(NumericError, match="epoch 0"):
+        train_sgd(model, data, np.arange(data.n), 3, 1e200, 80, SeededRng(10))
+
+
+class _RecordingThreads:
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+@pytest.mark.parametrize("loop", ["full_batch", "minibatch", "ascent"])
+def test_failing_step_loop_restores_blas_threads(monkeypatch, loop):
+    fake = _RecordingThreads(3)
+    monkeypatch.setattr(numeric, "_BLAS_THREADS", (fake.get, fake.set))
+    data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
+    model = build_model([2, 12, 2], 9)
+    rows = np.arange(data.n)
+    with pytest.raises(NumericError):
+        if loop == "ascent":
+            unlearn_gradient_ascent(model, data, rows, 5, 1e200)
+        else:
+            batch = 80 if loop == "full_batch" else 16
+            train_sgd(model, data, rows, 5, 1e200, batch, SeededRng(10))
+    assert fake.sets and fake.sets == [1, 3] * (len(fake.sets) // 2)
+    assert fake.count == 3
