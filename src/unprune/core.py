@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset, DeletionSplit
 from .errors import ConfigError, InputError
 from .model import MaskedModel, apply_mask
-from .numeric import SeededRng, round_count
+from .numeric import SeededRng, blas_scope, round_count
 from .prune import (
     hidden_layer_indices,
     neuron_mask,
@@ -258,18 +258,19 @@ def unprune(
     config.validate()
     topo = topology(mode, scope)
     trace = UnpruneTrace(initial_sparsity=sparsity_of(model).sparsity)
-    for t in range(config.iterations):
-        reinit_pruned(
-            model, config.init_strategy, rng.split(f"reinit-{t}"),
-            config.random_init_std,
-        )
-        unlearn(model, split, dataset, config.unlearn, rng.split(f"unlearn-{t}"),
-                dense=True)
-        grown = topo.grow(model, config.grow_per_iter)
-        apply_mask(model)
-        ua, ta = ua_ta(model, dataset, split, test_data)
-        trace.record(t, sparsity_of(model).sparsity, ua, ta, len(grown))
-        trace.grown.append(grown)
-    topo.prune(model, config.original_sparsity)
+    with blas_scope():
+        for t in range(config.iterations):
+            reinit_pruned(
+                model, config.init_strategy, rng.split(f"reinit-{t}"),
+                config.random_init_std,
+            )
+            unlearn(model, split, dataset, config.unlearn, rng.split(f"unlearn-{t}"),
+                    dense=True)
+            grown = topo.grow(model, config.grow_per_iter)
+            apply_mask(model)
+            ua, ta = ua_ta(model, dataset, split, test_data)
+            trace.record(t, sparsity_of(model).sparsity, ua, ta, len(grown))
+            trace.grown.append(grown)
+        topo.prune(model, config.original_sparsity)
     trace.final_sparsity = sparsity_of(model).sparsity
     return model, trace

@@ -250,6 +250,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
                     report.errors.append({
                         "seed": seed, "method": method,
                         "sparsity": sparsity, "error": str(exc),
+                        "type": type(exc).__name__,
                     })
                     continue
                 report.rows.append(vs_oracle)

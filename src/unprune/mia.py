@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InputError
 from .model import MaskedModel, forward
-from .numeric import SeededRng, round_count, softmax
+from .numeric import SeededRng, blas_scope, round_count, softmax
 
 CHANNELS = ("correctness", "confidence", "entropy", "m_entropy", "probability")
 
@@ -211,13 +211,14 @@ def ratio_sweep(
     """
     if not len(ratios):
         raise InputError("ratios must be nonempty")
-    return [
-        mia_evaluate(
-            model, member_data, member_rows, nonmember_data, nonmember_rows,
-            r, rng.split(f"ratio={float(r)!r}"),
-        )
-        for r in ratios
-    ]
+    with blas_scope():
+        return [
+            mia_evaluate(
+                model, member_data, member_rows, nonmember_data, nonmember_rows,
+                r, rng.split(f"ratio={float(r)!r}"),
+            )
+            for r in ratios
+        ]
 
 
 def sweep_to_csv(reports: list[MIAReport], path: str) -> None:

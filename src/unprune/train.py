@@ -17,7 +17,7 @@ from .data import Dataset
 from .errors import InputError, NumericError
 from .model import GradientSet, GradientStep, MaskedModel, apply_mask, forward
 from .model import backward  # noqa: F401  (perfbench wraps unprune.train.backward)
-from .numeric import SeededRng, _mean_loss, softmax_cross_entropy
+from .numeric import SeededRng, _mean_loss, blas_scope, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -79,38 +79,39 @@ def train_sgd(
     full_batch = batch_size >= len(indices)
     step = GradientStep(masked=True)
     log = TrainLog()
-    for epoch in range(epochs):
-        perm = rng.permutation(len(indices))
-        order = indices[perm]
-        x, y = dataset.inputs[order], dataset.labels[order]
-        if full_batch:
-            with _diverged_at(max(epoch - 1, 0)):
-                # This pass sees the model as the previous epoch left it.
-                logits = step.forward(model, x)
-                nll = step.loss_gradient(y, nll=epoch > 0)
+    with blas_scope():
+        for epoch in range(epochs):
+            perm = rng.permutation(len(indices))
+            order = indices[perm]
+            x, y = dataset.inputs[order], dataset.labels[order]
+            if full_batch:
+                with _diverged_at(max(epoch - 1, 0)):
+                    # This pass sees the model as the previous epoch left it.
+                    logits = step.forward(model, x)
+                    nll = step.loss_gradient(y, nll=epoch > 0)
+                    if epoch > 0:
+                        # evaluate sums the per-row losses in `indices` order.
+                        by_index = np.empty_like(nll)
+                        by_index[perm] = nll
+                        loss = _mean_loss(by_index)
                 if epoch > 0:
-                    # evaluate sums the per-row losses in `indices` order.
-                    by_index = np.empty_like(nll)
-                    by_index[perm] = nll
-                    loss = _mean_loss(by_index)
-            if epoch > 0:
-                accuracy = float((np.argmax(logits, axis=1) == y).mean())
-                log.record(epoch - 1, "train", loss, accuracy)
-            with _diverged_at(epoch):
-                sgd_step(model, step.backward(model), lr)
-                apply_mask(model)
-        else:
-            with _diverged_at(epoch):
-                for start in range(0, len(order), batch_size):
-                    grads = step.gradients(model, x[start:start + batch_size],
-                                           y[start:start + batch_size])
-                    sgd_step(model, grads, lr)
+                    accuracy = float((np.argmax(logits, axis=1) == y).mean())
+                    log.record(epoch - 1, "train", loss, accuracy)
+                with _diverged_at(epoch):
+                    sgd_step(model, step.backward(model), lr)
                     apply_mask(model)
-        if full_batch and epoch < epochs - 1:
-            continue
-        with _diverged_at(epoch):
-            loss, accuracy = evaluate(model, dataset, indices)
-        log.record(epoch, "train", loss, accuracy)
+            else:
+                with _diverged_at(epoch):
+                    for start in range(0, len(order), batch_size):
+                        grads = step.gradients(model, x[start:start + batch_size],
+                                               y[start:start + batch_size])
+                        sgd_step(model, grads, lr)
+                        apply_mask(model)
+            if full_batch and epoch < epochs - 1:
+                continue
+            with _diverged_at(epoch):
+                loss, accuracy = evaluate(model, dataset, indices)
+            log.record(epoch, "train", loss, accuracy)
     return log
 
 

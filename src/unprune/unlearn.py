@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, DeletionSplit
 from .errors import ConfigError, InputError
 from .model import GradientSet, GradientStep, MaskedModel, _forward_trace, _layer_deltas
-from .numeric import SeededRng, matmul, softmax
+from .numeric import SeededRng, blas_scope, matmul, softmax
 from .train import sgd_step
 
 METHODS = ("noop", "gradient_ascent", "fisher_forgetting", "finetune")
@@ -54,8 +54,9 @@ class UnlearnConfig:
 def _descend(model: MaskedModel, batches, rate: float, dense: bool) -> MaskedModel:
     """One ``sgd_step`` on the loss of each ``(inputs, labels)`` batch, in place."""
     step = GradientStep(masked=not dense)
-    for x, y in batches:
-        sgd_step(model, step.gradients(model, x, y), rate)
+    with blas_scope():
+        for x, y in batches:
+            sgd_step(model, step.gradients(model, x, y), rate)
     return model
 
 

@@ -5,6 +5,9 @@ The two reference tasks are the shipped configs: configs/reference.ini
 fixture per task runs the config's grid without timing; the set-ups and
 oracles the tests use are read back from that grid's model cache, so every
 model a test sees is one the grid scored.
+
+``blas_threads`` replaces the BLAS thread-count handle with a fake that
+records every count the program sets.
 """
 
 import os
@@ -12,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from unprune import numeric
 from unprune.config import parse_config
 from unprune.experiment import (
     cell_oracle,
@@ -87,3 +91,26 @@ def ref_oracles(ref_cfg, ref_grid, ref_runs):
                                         run.train_data, run.split, cache_dir)
         assert hit, f"seed {seed}: oracle not cached"
     return out
+
+
+class RecordingThreads:
+    """Stands in for the BLAS thread-count handle and records every set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """A ``RecordingThreads`` at 3 threads in place of the real BLAS handle."""
+    fake = RecordingThreads(3)
+    monkeypatch.setattr(numeric, "_BLAS_THREADS", (fake.get, fake.set))
+    return fake

@@ -8,9 +8,10 @@ from dataclasses import fields, replace
 
 import pytest
 
+import unprune.core as core_module
 import unprune.experiment as experiment_module
 import unprune.oracle as oracle_module
-from unprune import cli
+from unprune import cli, numeric
 from unprune.cli import main
 from unprune.config import (
     _KEYS,
@@ -18,7 +19,7 @@ from unprune.config import (
     parse_config,
     parse_config_text,
 )
-from unprune.errors import ConfigError
+from unprune.errors import ConfigError, NumericError
 from unprune.experiment import (
     ExperimentReport,
     emit_csv,
@@ -31,7 +32,7 @@ from unprune.experiment import (
 from unprune.model import save_snapshot, snapshot_header
 from unprune.oracle import build_model
 from unprune.train import TrainCfg
-from unprune.unlearn import METHODS, UnlearnConfig
+from unprune.unlearn import METHODS, UnlearnConfig, unlearn
 
 TINY_CONFIG = """
 [dataset]
@@ -333,6 +334,30 @@ def test_rerun_reports_the_stored_build_walls(tmp_path):
     (dense_entry,) = (tmp_path / "oracle_cache").glob("dense-*.bin")
     dense_wall = float(snapshot_header(str(dense_entry))["wall"])
     assert second.select(method="original")[0].wall_time_s >= dense_wall > 0.0
+
+
+def test_failed_cell_records_its_error_type(tmp_path, monkeypatch):
+    # Finetune raises inside core.unprune's BLAS scope; the cell becomes an
+    # error row with the exception's type, the other cells still write
+    # their rows, and the BLAS thread count is left as it was found.
+    def failing_unlearn(model, split, dataset, config, rng, dense=False):
+        if config.method == "finetune":
+            raise NumericError("diverged on purpose")
+        return unlearn(model, split, dataset, config, rng, dense)
+
+    monkeypatch.setattr(core_module, "unlearn", failing_unlearn)
+    get_threads, _ = numeric._BLAS_THREADS
+    threads = get_threads()
+    report = run_experiment(parse_config_text(TINY_CONFIG), out_dir=str(tmp_path))
+    assert report.errors == [{"seed": 0, "method": "finetune", "sparsity": 0.5,
+                              "error": "diverged on purpose",
+                              "type": "NumericError"}]
+    assert report_from_json(str(tmp_path / "results.json")).errors == report.errors
+    methods = [line.split(",")[1] for line in
+               (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    assert methods == ["noop", "noop:vs_original", "oracle", "original"]
+    assert os.listdir(tmp_path / "traces") == ["trace_seed0_s0.5_noop.csv"]
+    assert get_threads() == threads
 
 
 # SHA-256 of the structured grid's outputs for seed 0 without timing. A

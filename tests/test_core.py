@@ -202,6 +202,17 @@ def test_unprune_deterministic():
     assert np.array_equal(outs[0], outs[1])
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_unprune_sets_blas_threads_once(blas_threads, method):
+    data, split = tiny_task(22)
+    model = pruned_model(22, dims=(2, 10, 2), sparsity=0.5)
+    cfg = UnpruneConfig(0.5, 0.1, 2,
+                        UnlearnConfig(method=method, steps=5, rate=0.05,
+                                      batch_size=16))
+    unprune(model, data, split, cfg, SeededRng(23))
+    assert blas_threads.sets == [1, 3]
+
+
 def test_growth_legality_and_restoration_structured():
     data, split = tiny_task(24)
     model = build_model([2, 8, 8, 2], 24)

@@ -3,20 +3,23 @@
 ``model.backward`` is the reference; ``GradientStep`` runs the same
 functions for a step loop, skipping the loss and repeated label checks.
 The two must agree to the last bit, signed zeros included, or every pinned
-digest would move.
+digest would move. A step loop sets the BLAS thread count once, however
+many products it runs, and a diverging loop raises a ``NumericError``
+naming its epoch without a floating-point warning.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from unprune import numeric
 from unprune.data import gen_blobs
 from unprune.errors import NumericError
 from unprune.model import GradientStep, backward, init_model, mlp_specs
 from unprune.numeric import SeededRng, softmax
 from unprune.oracle import build_model
 from unprune.train import sgd_step, train_sgd
-from unprune.unlearn import unlearn_gradient_ascent
+from unprune.unlearn import unlearn_finetune, unlearn_gradient_ascent
 
 
 def _same_bits(expected, got):
@@ -92,31 +95,45 @@ def test_full_batch_divergence_mid_run_names_epoch():
         train_sgd(model, data, np.arange(data.n), 3, 1e200, 80, SeededRng(10))
 
 
-class _RecordingThreads:
-    def __init__(self, count):
-        self.count = count
-        self.sets = []
-
-    def get(self):
-        return self.count
-
-    def set(self, n):
-        self.sets.append(n)
-        self.count = n
-
-
-@pytest.mark.parametrize("loop", ["full_batch", "minibatch", "ascent"])
-def test_failing_step_loop_restores_blas_threads(monkeypatch, loop):
-    fake = _RecordingThreads(3)
-    monkeypatch.setattr(numeric, "_BLAS_THREADS", (fake.get, fake.set))
+def _run_loop(loop, rate):
+    """Five epochs or steps of one step loop on a 40-row task."""
     data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
     model = build_model([2, 12, 2], 9)
     rows = np.arange(data.n)
-    with pytest.raises(NumericError):
-        if loop == "ascent":
-            unlearn_gradient_ascent(model, data, rows, 5, 1e200)
-        else:
-            batch = 80 if loop == "full_batch" else 16
-            train_sgd(model, data, rows, 5, 1e200, batch, SeededRng(10))
-    assert fake.sets and fake.sets == [1, 3] * (len(fake.sets) // 2)
-    assert fake.count == 3
+    if loop == "ascent":
+        unlearn_gradient_ascent(model, data, rows, 5, rate)
+    elif loop == "finetune":
+        unlearn_finetune(model, data, rows, 5, rate, 16, SeededRng(11))
+    else:
+        batch = 80 if loop == "full_batch" else 16
+        train_sgd(model, data, rows, 5, rate, batch, SeededRng(10))
+
+
+@pytest.mark.parametrize("loop", ["full_batch", "minibatch", "ascent",
+                                  "finetune"])
+def test_step_loop_sets_blas_threads_once(blas_threads, loop):
+    _run_loop(loop, 0.05)
+    assert blas_threads.sets == [1, 3]
+
+
+# The error each diverging loop raised when every product set its own error
+# state: the loop's epoch and the first non-finite product.
+_DIVERGED = {
+    "full_batch": "^training diverged at epoch 0: matmul produced non-finite",
+    "minibatch": "^training diverged at epoch 0: matmul produced non-finite",
+    "ascent": "^matmul produced non-finite",
+}
+
+
+@pytest.mark.parametrize("loop", ["full_batch", "minibatch", "ascent"])
+def test_failing_step_loop_restores_blas_threads(blas_threads, loop):
+    errstate = np.geterr()
+    for rate in (1e200, 1e300):
+        blas_threads.sets.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=_DIVERGED[loop]):
+                _run_loop(loop, rate)
+        assert blas_threads.sets == [1, 3]
+        assert blas_threads.count == 3
+        assert np.geterr() == errstate

@@ -108,6 +108,13 @@ def test_ratio_sweep_counts_and_repeatability(trained):
     assert again[0] == again[1] == again[2]
 
 
+def test_ratio_sweep_sets_blas_threads_once(trained, blas_threads):
+    model, train, test, split = trained
+    ratio_sweep(model, train, split.forget_indices, test, np.arange(60),
+                [0.9, 1.0, 1.1], SeededRng(5))
+    assert blas_threads.sets == [1, 3]
+
+
 def test_label_permutation_sanity(trained):
     # Members and non-members drawn from one common pool: every channel's
     # held-out score averages to chance over 20 seeds.

@@ -49,47 +49,68 @@ def test_matmul_non_finite_product_raises_without_warning(a, b):
             matmul(a, b)
 
 
-class RecordingThreads:
-    """Stands in for the BLAS thread-count handle and records every set."""
-
-    def __init__(self, count):
-        self.count = count
-        self.sets = []
-
-    def get(self):
-        return self.count
-
-    def set(self, n):
-        self.sets.append(n)
-        self.count = n
-
-
-@pytest.fixture
-def threads(monkeypatch):
-    fake = RecordingThreads(3)
-    monkeypatch.setattr(numeric, "_BLAS_THREADS", (fake.get, fake.set))
-    return fake
-
-
-def test_matmul_runs_on_one_thread_then_restores(threads):
+def test_matmul_runs_on_one_thread_then_restores(blas_threads):
     a = np.arange(6, dtype=float).reshape(2, 3)
     out = matmul(a, a.T)
     assert np.array_equal(out, a @ a.T)
-    assert threads.sets == [1, 3]
-    assert threads.count == 3
+    assert blas_threads.sets == [1, 3]
+    assert blas_threads.count == 3
 
 
-def test_matmul_restores_threads_after_numeric_error(threads):
+def test_matmul_restores_threads_after_numeric_error(blas_threads):
     with pytest.raises(NumericError):
         matmul(np.full((2, 3), 1e300), np.full((3, 2), 1e10))
-    assert threads.sets == [1, 3]
-    assert threads.count == 3
+    assert blas_threads.sets == [1, 3]
+    assert blas_threads.count == 3
 
 
-def test_matmul_restores_threads_after_shape_error(threads):
+def test_matmul_restores_threads_after_shape_error(blas_threads):
     with pytest.raises(ShapeError):
         matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    assert threads.count == 3
+    assert blas_threads.count == 3
+
+
+def test_nested_blas_scope_makes_no_thread_calls(blas_threads):
+    a = np.arange(6, dtype=float).reshape(2, 3)
+    with numeric.blas_scope():
+        with numeric.blas_scope():
+            matmul(a, a.T)
+        assert blas_threads.sets == [1]
+        matmul(a, a.T)
+        assert blas_threads.sets == [1]
+    assert blas_threads.sets == [1, 3]
+    assert blas_threads.count == 3
+
+
+def test_blas_scope_restores_threads_and_error_state_on_raise(blas_threads):
+    errstate = np.geterr()
+    with pytest.raises(KeyError):
+        with numeric.blas_scope():
+            assert np.geterr()["over"] == np.geterr()["invalid"] == "ignore"
+            with numeric.blas_scope():
+                raise KeyError("inner")
+    assert np.geterr() == errstate
+    assert blas_threads.sets == [1, 3]
+    assert blas_threads.count == 3
+    # The scope is closed: the next one is an outermost one again.
+    with numeric.blas_scope():
+        pass
+    assert blas_threads.sets == [1, 3, 1, 3]
+
+
+def test_matmul_checks_operands_and_product_inside_blas_scope(blas_threads):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with numeric.blas_scope():
+            with pytest.raises(ShapeError):
+                matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+            with pytest.raises(ShapeError):
+                matmul(np.zeros(3), np.zeros((3, 1)))
+            with pytest.raises(NumericError):
+                matmul(np.full((2, 3), 1e300), np.full((3, 2), 1e10))
+            with pytest.raises(NumericError):
+                matmul(np.full((2, 3), np.inf), np.zeros((3, 2)))
+    assert blas_threads.sets == [1, 3]
 
 
 def test_matmul_leaves_real_blas_thread_count_as_found():
