@@ -7,17 +7,15 @@ global and per-layer magnitude thresholds at the configured sparsity.
 """
 
 import argparse
-import csv
 import os
 import sys
 
 from unprune.config import parse_config
 from unprune.core import topology
+from unprune.data import write_csv
 from unprune.experiment import prepare_seed
 from unprune.metrics import MaskPair, iou
-from unprune.numeric import SeededRng
-from unprune.oracle import build_model
-from unprune.train import train_with_cfg
+from unprune.oracle import train_model
 
 CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                       "configs", "reference.ini")
@@ -33,10 +31,8 @@ def main():
     rows = []
     for seed in cfg.seeds:
         run = prepare_seed(cfg, seed)
-        # Same init and shuffle stream as the full-data model.
-        retained = build_model(cfg.arch_dims(), seed)
-        train_with_cfg(retained, run.train_data, run.split.retain_indices,
-                       cfg.train, SeededRng(seed).split("train"))
+        retained = train_model(None, run.train_data, run.split.retain_indices,
+                               cfg.arch_dims(), cfg.train, seed)[0]
         values = {}
         for scope in ("global", "per_layer"):
             topo = topology("unstructured", scope)
@@ -48,11 +44,7 @@ def main():
         print(f"seed {seed}: IoU global={values['global']:.4f} "
               f"per_layer={values['per_layer']:.4f}")
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "iou_global", "iou_per_layer"])
-        for seed, g, p in rows:
-            writer.writerow([seed, f"{g:.10g}", f"{p:.10g}"])
+    write_csv(args.out, ("seed", "iou_global", "iou_per_layer"), rows)
     print(f"-> {args.out}")
     return 0
 

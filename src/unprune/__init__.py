@@ -42,7 +42,7 @@ from .model import (
     save_snapshot,
 )
 from .numeric import SeededRng, matmul, softmax_cross_entropy
-from .oracle import build_model, cached_oracle, retrain_reprune
+from .oracle import build_model, cached_oracle, retrain_reprune, train_model
 from .prune import (
     SparsityReport,
     neuron_mask,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 
-from .core import Structured, UnpruneConfig, topology
+from .core import UnpruneConfig, topology
 from .errors import ConfigError
 from .train import TrainCfg
 from .unlearn import METHODS, UnlearnConfig
@@ -50,16 +50,17 @@ class ExperimentConfig:
     unlearn_defaults: UnlearnConfig = field(default_factory=UnlearnConfig)
     unlearn_overrides: dict = field(default_factory=dict)
     # oracle
-    imp_rounds: int = 1
     oracle_cache: bool = True
     # mia
     mia_ratios: tuple[float, ...] = ()
     # run
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     out_dir: str = "results"
-    # Not configurable: the grid runs in one process. The field stays only
-    # because the benchmark (perfbench/workloads.py) replaces it with 1.
+    # Not configurable: the grid runs in one process and the oracle has one
+    # variant. The fields stay only because the benchmark
+    # (perfbench/workloads.py) sets jobs to 1 and passes imp_rounds on.
     jobs: int = 1
+    imp_rounds: int = 1
     record_timing: bool = True
 
     def validate(self) -> "ExperimentConfig":
@@ -67,11 +68,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.images and self.labels):
             raise ConfigError("idx datasets need images= and labels= paths")
-        topo = topology(self.prune_mode, self.scope)
-        if self.imp_rounds < 1:
-            raise ConfigError(f"imp_rounds must be >= 1, got {self.imp_rounds}")
-        if self.imp_rounds > 1 and isinstance(topo, Structured):
-            raise ConfigError("imp_rounds > 1 needs unstructured pruning")
+        topology(self.prune_mode, self.scope)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if not self.sparsities:
@@ -87,8 +84,9 @@ class ExperimentConfig:
                 self.unprune_config(m, s).validate()
         if not 0.0 < self.delete_ratio < 1.0:
             raise ConfigError(f"delete ratio {self.delete_ratio} outside (0, 1)")
-        if self.jobs != 1:
-            raise ConfigError(f"jobs must be 1, got {self.jobs}")
+        for name in ("jobs", "imp_rounds"):
+            if getattr(self, name) != 1:
+                raise ConfigError(f"{name} must be 1, got {getattr(self, name)}")
         return self
 
     def unlearn_config(self, method: str) -> UnlearnConfig:
@@ -155,8 +153,7 @@ _KEYS: dict[str, dict[str, tuple]] = {
                 "random_init_std": ("random_init_std", float)},
     "unlearn": {"methods": ("methods", _csv(str)), **_UNLEARN_ROWS},
     **{f"unlearn.{method}": _UNLEARN_ROWS for method in METHODS},
-    "oracle": {"imp_rounds": ("imp_rounds", int),
-               "cache": ("oracle_cache", _bool)},
+    "oracle": {"cache": ("oracle_cache", _bool)},
     "mia": {"ratios": ("mia_ratios", _csv(float))},
     "run": {"seeds": ("seeds", _csv(int)),
             "out": ("out_dir", str),

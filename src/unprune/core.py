@@ -19,12 +19,11 @@ prune, grow and kept-mask operations (``Unstructured`` / ``Structured``).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, DeletionSplit
+from .data import Dataset, DeletionSplit, write_csv
 from .errors import ConfigError, InputError
 from .model import MaskedModel, apply_mask
 from .numeric import SeededRng, blas_scope, round_count
@@ -85,14 +84,8 @@ class UnpruneTrace:
         )
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "sparsity", "ua", "ta", "grown_count"])
-            for it, sp, ua, ta, grown in self.rows:
-                writer.writerow([it, f"{sp:.10g}", f"{ua:.10g}", f"{ta:.10g}", grown])
-            writer.writerow(
-                ["final", f"{self.final_sparsity:.10g}", "", "", 0]
-            )
+        write_csv(path, ("iteration", "sparsity", "ua", "ta", "grown_count"),
+                  [*self.rows, ("final", self.final_sparsity, "", "", 0)])
 
 
 def reinit_pruned(

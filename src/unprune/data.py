@@ -2,12 +2,14 @@
 
 Two sources: synthetic Gaussian blobs (hermetic default) and IDX image /
 label files (big-endian, the FashionMNIST container format) when real data
-is on disk.
+is on disk. ``write_csv`` is the one writer of the package's CSV outputs.
 """
 
 from __future__ import annotations
 
+import csv
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +176,18 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str) -> None:
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, dataset.n))
         fh.write(dataset.labels.astype(np.uint8).tobytes())
+
+
+def write_csv(path: str, header: Sequence[str],
+              rows: Iterable[Sequence]) -> None:
+    """Every CSV the package writes: ``header``, then ``rows``, with Unix
+    line ends and floats printed to 10 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [f"{v:.10g}" if isinstance(v, (float, np.floating)) else v
+             for v in row] for row in rows)
 
 
 def split_delete(

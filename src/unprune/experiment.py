@@ -11,7 +11,6 @@ config produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -22,13 +21,14 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .core import UnpruneTrace, topology, ua_ta, unprune
-from .data import Dataset, DeletionSplit, gen_blobs, load_idx, split_delete
+from .data import (Dataset, DeletionSplit, gen_blobs, load_idx,
+                   split_delete, write_csv)
 from .errors import ConfigError
 from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from .model import MaskedModel
 from .numeric import SeededRng
-from .oracle import build_model, cached_model, cached_oracle, dense_key
-from .train import TrainLog, train_with_cfg
+from .oracle import cached_oracle, train_model
+from .train import TrainLog
 
 CSV_COLUMNS = ("seed", "method", "sparsity", "iom", "uom", "iou", "kl",
                "ta", "ua", "wall_time_s")
@@ -114,21 +114,9 @@ def prepare_seed(cfg: ExperimentConfig, seed: int,
     model cache there; a hit trains nothing and returns no log.
     """
     train_data, test_data, split = build_data(cfg, seed)
-    log = None
-
-    def train() -> tuple[MaskedModel, float]:
-        nonlocal log
-        t0 = time.perf_counter()
-        dense = build_model(cfg.arch_dims(), seed)
-        log = train_with_cfg(dense, train_data, np.arange(train_data.n),
-                             cfg.train, SeededRng(seed).split("train"))
-        return dense, time.perf_counter() - t0
-
-    if cache_dir is None:
-        dense, train_wall = train()
-    else:
-        key = dense_key(train_data, cfg.arch_dims(), cfg.train, seed)
-        dense, train_wall, _ = cached_model(cache_dir, "dense", key, train)
+    dense, log, train_wall, _ = train_model(
+        cache_dir, train_data, np.arange(train_data.n), cfg.arch_dims(),
+        cfg.train, seed)
     pruned, prune_wall = {}, {}
     for sparsity in cfg.sparsities:
         pruned[sparsity] = dense.clone()
@@ -165,8 +153,7 @@ def cell_oracle(cfg, seed, sparsity, train_data, split, cache_dir
     """The (seed, sparsity) cell's retrain+reprune oracle through the model
     cache at ``cache_dir`` (None trains it); returns (model, wall_s, hit)."""
     return cached_oracle(cache_dir, train_data, split, cfg.arch_dims(),
-                         cfg.train, sparsity, seed, cfg.prune_mode, cfg.scope,
-                         None, cfg.imp_rounds)
+                         cfg.train, sparsity, seed, cfg.prune_mode, cfg.scope)
 
 
 def trace_name(seed: int, sparsity: float, method: str) -> str:
@@ -274,16 +261,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
 
 def emit_csv(report: ExperimentReport, path: str) -> None:
     """Stable column order: seed,method,sparsity,iom,uom,iou,kl,ta,ua,wall_time_s."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
-            writer.writerow([
-                row.seed, row.method, f"{row.sparsity:.10g}",
-                f"{row.iom:.10g}", f"{row.uom:.10g}", f"{row.iou:.10g}",
-                f"{row.kl:.10g}", f"{row.ta:.10g}", f"{row.ua:.10g}",
-                f"{row.wall_time_s:.3f}",
-            ])
+    write_csv(path, CSV_COLUMNS, [
+        (row.seed, row.method, row.sparsity, row.iom, row.uom, row.iou,
+         row.kl, row.ta, row.ua, f"{row.wall_time_s:.3f}")
+        for row in report.rows])
 
 
 def emit_json(report: ExperimentReport, path: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import InputError
 from .model import MaskedModel, forward
 from .numeric import SeededRng, blas_scope, round_count, softmax
@@ -222,12 +222,6 @@ def ratio_sweep(
 
 
 def sweep_to_csv(reports: list[MIAReport], path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ratio"] + list(CHANNELS))
-        for rep in reports:
-            writer.writerow(
-                [f"{rep.ratio:.10g}"] + [f"{rep.score(c):.10g}" for c in CHANNELS]
-            )
+    write_csv(path, ("ratio", *CHANNELS),
+              [(rep.ratio, *(rep.score(c) for c in CHANNELS))
+               for rep in reports])

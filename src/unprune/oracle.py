@@ -1,12 +1,13 @@
 """The gold standard: retrain from scratch on retained data, then re-prune.
 
-The oracle reuses the run's architecture and seed discipline: a fresh init
-from the same seed, which is the original model's init (``rewind_from``
-starts it from another model's init snapshot instead).
+``train_model`` trains every dense model: the original on all rows and
+the oracle's on the retained rows, from the same init and shuffle stream,
+so their mask difference is data-driven. The oracle prunes its dense model
+to each sparsity.
 
-Trained models are deterministic functions of their inputs, so both the
-oracle and the dense original are cached as snapshots under a content hash
-of those inputs (``cached_model``); repeated runs skip the training.
+Trained models are deterministic functions of their inputs, so dense
+models and oracles are cached as snapshots under a content hash of those
+inputs (``cached_model``); repeated runs skip the training.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import Structured, topology
+from .core import topology
 from .data import Dataset, DeletionSplit
 from .errors import FormatError, InputError
 from .model import (
@@ -33,7 +34,7 @@ from .model import (
     snapshot_header,
 )
 from .numeric import SeededRng
-from .train import TrainCfg, train_with_cfg
+from .train import TrainCfg, TrainLog, train_with_cfg
 
 
 def build_model(dims: list[int], seed: int) -> MaskedModel:
@@ -62,30 +63,49 @@ def cache_key(dataset: Dataset, *fields: np.ndarray | tuple) -> str:
     return h.hexdigest()[:16]
 
 
-def oracle_key(
-    dataset: Dataset,
-    split: DeletionSplit,
-    dims: list[int],
-    train_cfg: TrainCfg,
-    sparsity: float,
-    mode: str,
-    scope: str,
-    seed: int,
-    rewind: bool,
-    imp_rounds: int,
-) -> str:
+def oracle_key(dataset: Dataset, split: DeletionSplit, dims: list[int],
+               train_cfg: TrainCfg, sparsity: float, mode: str, scope: str,
+               seed: int) -> str:
     """Content hash identifying one oracle run."""
-    return cache_key(
-        dataset, split.forget_indices,
-        (dims, train_cfg, float(sparsity), mode, scope, int(seed),
-         bool(rewind), int(imp_rounds)),
-    )
+    return cache_key(dataset, split.forget_indices,
+                     (dims, train_cfg, float(sparsity), mode, scope, int(seed)))
 
 
-def dense_key(dataset: Dataset, dims: list[int], train_cfg: TrainCfg,
-              seed: int) -> str:
-    """Content hash identifying one dense training run on all of ``dataset``."""
-    return cache_key(dataset, (dims, train_cfg, int(seed)))
+def dense_key(dataset: Dataset, rows: np.ndarray, dims: list[int],
+              train_cfg: TrainCfg, seed: int) -> str:
+    """Content hash identifying one dense training run on ``rows`` of
+    ``dataset``."""
+    return cache_key(dataset, np.asarray(rows, dtype=np.int64),
+                     (dims, train_cfg, int(seed)))
+
+
+def train_model(cache_dir: str | None, dataset: Dataset, rows: np.ndarray,
+                dims: list[int], train_cfg: TrainCfg, seed: int
+                ) -> tuple[MaskedModel, TrainLog | None, float, bool]:
+    """The dense model trained on ``rows``; returns (model, log, wall_s, hit).
+
+    The one place a dense model is built and trained: the init and the
+    ``train`` shuffle stream both come from ``seed``, so the models of one
+    seed on all rows and on the retained rows differ by their data alone.
+    With ``cache_dir`` the model is read from, or written to, the entry
+    ``dense-<key>.bin`` there; a hit trains nothing and returns no log.
+    """
+    log = None
+
+    def train() -> tuple[MaskedModel, float]:
+        nonlocal log
+        t0 = time.perf_counter()
+        model = build_model(dims, seed)
+        log = train_with_cfg(model, dataset, rows, train_cfg,
+                             SeededRng(seed).split("train"))
+        return model, time.perf_counter() - t0
+
+    if cache_dir is None:
+        model, wall = train()
+        return model, log, wall, False
+    key = dense_key(dataset, rows, dims, train_cfg, seed)
+    model, wall, hit = cached_model(cache_dir, "dense", key, train)
+    return model, log, wall, hit
 
 
 def retrain_reprune(
@@ -97,45 +117,20 @@ def retrain_reprune(
     seed: int,
     mode: str = "unstructured",
     scope: str = "global",
-    rewind_from: MaskedModel | None = None,
-    imp_rounds: int = 1,
+    cache_dir: str | None = None,
 ) -> tuple[MaskedModel, float]:
     """Train on the retained rows only, prune to the target, return wall time.
 
-    ``imp_rounds > 1`` switches to iterative magnitude pruning with rewind to
-    the saved init between rounds (an optional unstructured oracle variant,
-    off by default and outside the CI acceptance path).
+    The wall is the training's (the stored one, when the dense model comes
+    from the cache at ``cache_dir``) plus the prune's. Oracles of one seed
+    at several sparsities share that one dense model.
     """
     topo = topology(mode, scope)
-    if imp_rounds < 1:
-        raise InputError(f"imp_rounds must be >= 1, got {imp_rounds}")
-    if imp_rounds > 1 and isinstance(topo, Structured):
-        raise InputError("imp_rounds > 1 needs unstructured pruning")
+    model, _, wall, _ = train_model(cache_dir, dataset, split.retain_indices,
+                                    dims, train_cfg, seed)
     t0 = time.perf_counter()
-    model = build_model(dims, seed)
-    if rewind_from is not None:
-        for w, s in zip(model.weights, rewind_from.init_snapshot):
-            w[...] = s
-        model.init_snapshot = [s.copy() for s in rewind_from.init_snapshot]
-    # Same seed discipline as the original run: identical init and shuffle
-    # streams, so the mask difference against the original is data-driven.
-    rng = SeededRng(seed).split("train")
-    if imp_rounds == 1:
-        train_with_cfg(model, dataset, split.retain_indices, train_cfg, rng)
-        topo.prune(model, sparsity)
-    else:
-        targets = [sparsity * (r + 1) / imp_rounds for r in range(imp_rounds)]
-        for r, target in enumerate(targets):
-            train_with_cfg(
-                model, dataset, split.retain_indices, train_cfg,
-                rng.split(f"imp-{r}"),
-            )
-            topo.prune(model, target)
-            if r + 1 < imp_rounds:
-                # LTH rewind: surviving weights back to their init values.
-                for w, m, s in zip(model.weights, model.masks, model.init_snapshot):
-                    w[...] = s * m
-    return model, time.perf_counter() - t0
+    topo.prune(model, sparsity)
+    return model, wall + time.perf_counter() - t0
 
 
 def _stored_wall(path: str) -> float:
@@ -198,18 +193,26 @@ def cached_oracle(
     seed: int,
     mode: str = "unstructured",
     scope: str = "global",
-    rewind_from: MaskedModel | None = None,
+    rewind_from: None = None,
     imp_rounds: int = 1,
 ) -> tuple[MaskedModel, float, bool]:
-    """retrain_reprune behind the model cache; returns (model, wall_s, hit)."""
+    """retrain_reprune behind the model cache; returns (model, wall_s, hit).
+
+    ``rewind_from`` and ``imp_rounds`` only keep the positional slots that
+    perfbench/workloads.py fills with ``None`` and ``1``; the oracle has no
+    other variant, so any other value is an ``InputError``.
+    """
+    if rewind_from is not None or imp_rounds != 1:
+        raise InputError(f"the oracle takes rewind_from=None and imp_rounds=1, "
+                         f"got {rewind_from!r} and {imp_rounds!r}")
 
     def retrain() -> tuple[MaskedModel, float]:
         return retrain_reprune(dataset, split, dims, train_cfg, sparsity, seed,
-                               mode, scope, rewind_from, imp_rounds)
+                               mode, scope, cache_dir)
 
     if cache_dir is None:
         model, wall = retrain()
         return model, wall, False
     key = oracle_key(dataset, split, dims, train_cfg, sparsity, mode, scope,
-                     seed, rewind_from is not None, imp_rounds)
+                     seed)
     return cached_model(cache_dir, "oracle", key, retrain)

@@ -7,13 +7,12 @@ after every step, so training never changes the topology.
 
 from __future__ import annotations
 
-import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import InputError, NumericError
 from .model import GradientSet, GradientStep, MaskedModel, apply_mask, forward
 from .model import backward  # noqa: F401  (perfbench wraps unprune.train.backward)
@@ -35,11 +34,7 @@ class TrainLog:
         self.rows.append((epoch, split, float(loss), float(accuracy)))
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "split", "loss", "accuracy"])
-            for epoch, split, loss, acc in self.rows:
-                writer.writerow([epoch, split, f"{loss:.10g}", f"{acc:.10g}"])
+        write_csv(path, ("epoch", "split", "loss", "accuracy"), self.rows)
 
 
 def train_sgd(

@@ -14,16 +14,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from unprune.cli import DEFAULT_MIA_RATIOS
 from unprune.core import UnpruneConfig, unprune
 from unprune.data import gen_blobs, split_delete
-from unprune.experiment import _scores, cell_unprune, run_experiment
+from unprune.experiment import (
+    _scores,
+    cell_unprune,
+    model_cache_dir,
+    run_experiment,
+)
 from unprune.metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from unprune.mia import mia_evaluate, ratio_sweep
 from unprune.model import backward, forward, init_model, mlp_specs
 from unprune.numeric import SeededRng, softmax_cross_entropy
-from unprune.oracle import build_model, retrain_reprune
+from unprune.oracle import retrain_reprune, train_model
 from unprune.prune import prune_magnitude, sparsity_of
-from unprune.train import TrainCfg, train_with_cfg
+from unprune.train import TrainCfg
 from unprune.unlearn import UnlearnConfig
 
 
@@ -205,18 +211,21 @@ def test_criterion_05_sparsity_restoration():
                            f"{elapsed:.1f}s")
 
 
-def test_criterion_06_kl_ground_truth(ref_cfg, ref_runs, ref_oracles):
+def test_criterion_06_kl_ground_truth(ref_cfg, ref_grid, ref_runs,
+                                     ref_oracles):
     """Self-KL is exactly 0; KL(original, oracle) non-decreasing in sparsity."""
     self_kl = kl_masked_weights(ref_oracles[0], ref_oracles[0])
     assert self_kl == 0.0
     wins = 0
     per_seed = []
+    cache_dir = model_cache_dir(ref_cfg, str(ref_grid[1]))
     for seed, run in ref_runs.items():
-        # The grid holds one sparsity's oracle; the others prune one model
-        # retrained on the retained rows, as retrain_reprune does.
-        retained = build_model(ref_cfg.arch_dims(), seed)
-        train_with_cfg(retained, run.train_data, run.split.retain_indices,
-                       ref_cfg.train, SeededRng(seed).split("train"))
+        # Each sparsity's oracle prunes the model the grid trained on the
+        # retained rows, read from the grid's cache.
+        retained, _, _, hit = train_model(
+            cache_dir, run.train_data, run.split.retain_indices,
+            ref_cfg.arch_dims(), ref_cfg.train, seed)
+        assert hit, f"seed {seed}: retained model not cached"
         kls = []
         for sparsity in (0.4, ref_cfg.sparsities[0], 0.95):
             pruned, oracle = run.dense.clone(), retained.clone()
@@ -286,10 +295,10 @@ def test_criterion_08_running_time_ordering(ref_cfg, ref_runs):
 def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
     """Shadow-ratio sweep swings correctness >= 0.2; chance at ratio 1.0."""
     run = ref_runs[0]
-    ratios = [round(0.8 + 0.05 * i, 2) for i in range(9)]
     reports = ratio_sweep(
         run.dense, run.train_data, run.split.forget_indices,
-        run.test_data, np.arange(40), ratios, SeededRng(0).split("mia"),
+        run.test_data, np.arange(40), DEFAULT_MIA_RATIOS,
+        SeededRng(0).split("mia"),
     )
     corr = [r.correctness for r in reports]
     spread = max(corr) - min(corr)
@@ -299,9 +308,8 @@ def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
     train = gen_blobs(rng.split("data-train"), 200, 2, 2, 0.5)
     test = gen_blobs(rng.split("data-test"), 250, 2, 2, 0.5)
     split = split_delete(train, 0.25, rng.split("delete"))
-    model = build_model(ref_cfg.arch_dims(), 100)
-    train_with_cfg(model, train, np.arange(train.n), TrainCfg(300, 0.5, 400),
-                   SeededRng(100).split("train"))
+    model = train_model(None, train, np.arange(train.n), ref_cfg.arch_dims(),
+                        TrainCfg(300, 0.5, 400), 100)[0]
     report = mia_evaluate(model, train, split.forget_indices, test,
                           np.arange(100), 1.0, SeededRng(100).split("mia-1"))
     ok = spread >= 0.2 and 0.45 <= report.correctness <= 0.55

@@ -6,11 +6,12 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import unprune.core as core_module
-import unprune.experiment as experiment_module
 import unprune.oracle as oracle_module
+import unprune.train as train_module
 from unprune import cli, numeric
 from unprune.cli import main
 from unprune.config import (
@@ -21,16 +22,21 @@ from unprune.config import (
 )
 from unprune.errors import ConfigError, NumericError
 from unprune.experiment import (
+    CellRow,
     ExperimentReport,
+    _scores,
+    build_data,
+    cell_oracle,
     emit_csv,
     emit_json,
     emit_scatter,
+    model_cache_dir,
     prepare_seed,
     report_from_json,
     run_experiment,
 )
 from unprune.model import save_snapshot, snapshot_header
-from unprune.oracle import build_model
+from unprune.oracle import build_model, dense_key
 from unprune.train import TrainCfg
 from unprune.unlearn import METHODS, UnlearnConfig, unlearn
 
@@ -95,13 +101,11 @@ def test_bad_values_rejected():
         parse_config_text("[prune]\nsparsities = 1.5\n")
     with pytest.raises(ConfigError):
         parse_config_text("[run]\nseeds =\n")
-    for rounds in (0, -3):
-        with pytest.raises(ConfigError, match="imp_rounds"):
-            parse_config_text(f"[oracle]\nimp_rounds = {rounds}\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("[run]\njobs = 2\n")
-    with pytest.raises(ConfigError, match="jobs"):
-        replace(parse_config_text(""), jobs=2).validate()
+    for name in ("jobs", "imp_rounds"):
+        with pytest.raises(ConfigError, match=name):
+            replace(parse_config_text(""), **{name: 2}).validate()
 
 
 def test_rewind_key_rejected():
@@ -111,16 +115,14 @@ def test_rewind_key_rejected():
         parse_config_text("[oracle]\nrewind = true\n")
 
 
-def test_structured_imp_rounds_rejected():
-    with pytest.raises(ConfigError, match="imp_rounds"):
-        parse_config_text("[prune]\nmode = structured\n"
-                          "[oracle]\nimp_rounds = 3\n")
-    parse_config_text("[prune]\nmode = structured\n[oracle]\nimp_rounds = 1\n")
+def test_imp_rounds_key_rejected():
+    # The oracle has one variant: retrain on the retained rows, prune once.
+    for rounds in (0, 1, 3):
+        with pytest.raises(ConfigError, match="unknown key 'imp_rounds'"):
+            parse_config_text(f"[oracle]\nimp_rounds = {rounds}\n")
 
 
-# Every key of the schema, each set to a value other than its default, but
-# imp_rounds: above 1 it needs unstructured pruning, so a second config
-# sets it.
+# Every key of the schema, each set to a value other than its default.
 EVERY_KEY = """
 [dataset]
 kind = idx
@@ -165,7 +167,6 @@ fisher_noise_scale = 0.003
 batch_size = 9
 
 [oracle]
-imp_rounds = 1
 cache = false
 
 [mia]
@@ -195,15 +196,12 @@ def _ini_and_config(text):
 
 
 def test_every_key_lands_in_its_field():
-    every = _ini_and_config(EVERY_KEY)
-    imp = _ini_and_config(EVERY_KEY.replace("mode = structured\n", "")
-                          .replace("imp_rounds = 1", "imp_rounds = 2"))
+    ini, cfg = _ini_and_config(EVERY_KEY)
     defaults = ExperimentConfig()
-    assert set(every[0].sections()) == set(_KEYS)
+    assert set(ini.sections()) == set(_KEYS)
     for section, rows in _KEYS.items():
-        assert set(every[0][section]) == set(rows), section
+        assert set(ini[section]) == set(rows), section
         for key, (field_path, parse) in rows.items():
-            ini, cfg = imp if key == "imp_rounds" else every
             value = parse(ini[section][key])
             assert value != _field(defaults, section, field_path), (section, key)
             assert _field(cfg, section, field_path) == value, (section, key)
@@ -212,7 +210,8 @@ def test_every_key_lands_in_its_field():
 def test_each_field_has_one_key():
     paths = Counter(path for rows in _KEYS.values()
                     for path, _ in rows.values())
-    nested = {"train", "unlearn_defaults", "unlearn_overrides", "jobs"}
+    nested = {"train", "unlearn_defaults", "unlearn_overrides", "jobs",
+              "imp_rounds"}
     top = {f.name for f in fields(ExperimentConfig)} - nested
     assert ({p: n for p, n in paths.items() if "." not in p}
             == dict.fromkeys(top, 1))
@@ -312,12 +311,12 @@ def test_rerun_into_one_out_dir_reads_the_model_cache(tmp_path, monkeypatch,
              *(f"traces/{n}" for n in sorted(os.listdir(out / "traces")))]
     first = {name: (out / name).read_bytes() for name in names}
     calls = []
-    monkeypatch.setattr(experiment_module, "train_with_cfg", _counting(
-        calls, "train", experiment_module.train_with_cfg))
+    monkeypatch.setattr(oracle_module, "train_with_cfg", _counting(
+        calls, "train", oracle_module.train_with_cfg))
     monkeypatch.setattr(oracle_module, "retrain_reprune", _counting(
         calls, "oracle", oracle_module.retrain_reprune))
     run_experiment(cfg, out_dir=str(out))
-    assert calls == ([] if cache else ["train", "oracle"])
+    assert calls == ([] if cache else ["train", "oracle", "train"])
     assert (out / "oracle_cache").exists() == cache
     assert {name: (out / name).read_bytes() for name in names} == first
 
@@ -331,9 +330,47 @@ def test_rerun_reports_the_stored_build_walls(tmp_path):
     oracle_walls = [r.select(method="oracle")[0].wall_time_s
                     for r in (first, second)]
     assert oracle_walls[0] > 0.0 and oracle_walls[1] == oracle_walls[0]
-    (dense_entry,) = (tmp_path / "oracle_cache").glob("dense-*.bin")
+    # Two dense entries: the original's on all rows, the oracle's on the
+    # retained rows.
+    assert len(list((tmp_path / "oracle_cache").glob("dense-*.bin"))) == 2
+    train_data = build_data(cfg, 0)[0]
+    key = dense_key(train_data, np.arange(train_data.n), cfg.arch_dims(),
+                    cfg.train, 0)
+    dense_entry = tmp_path / "oracle_cache" / f"dense-{key}.bin"
     dense_wall = float(snapshot_header(str(dense_entry))["wall"])
     assert second.select(method="original")[0].wall_time_s >= dense_wall > 0.0
+
+
+def test_grid_trains_one_retained_model_per_seed(tmp_path, monkeypatch):
+    # Every sparsity's oracle prunes the seed's one retained-row model, and
+    # equals retrain_reprune at that sparsity bit for bit.
+    cfg = replace(parse_config_text(TINY_CONFIG), sparsities=(0.5, 0.7),
+                  seeds=(0, 1))
+    calls = []
+    # train_sgd runs every training in the package, whoever calls it.
+    monkeypatch.setattr(train_module, "train_sgd", _counting(
+        calls, "train", train_module.train_sgd))
+    report = run_experiment(cfg, out_dir=str(tmp_path))
+    assert len(calls) == 2 * len(cfg.seeds)  # all rows, retained rows
+    monkeypatch.undo()
+    for seed in cfg.seeds:
+        train_data, test_data, split = build_data(cfg, seed)
+        for sparsity in cfg.sparsities:
+            oracle, _ = oracle_module.retrain_reprune(
+                train_data, split, cfg.arch_dims(), cfg.train, sparsity, seed)
+            cached, _, hit = cell_oracle(cfg, seed, sparsity, train_data, split,
+                                         model_cache_dir(cfg, str(tmp_path)))
+            assert hit
+            for got, want in ((cached.weights, oracle.weights),
+                              (cached.masks, oracle.masks)):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            scores = _scores(cfg, oracle, (oracle,), train_data, test_data,
+                             split)[0]
+            (row,) = [r for r in report.select(method="oracle",
+                                               sparsity=sparsity)
+                      if r.seed == seed]
+            assert row == CellRow(seed=seed, method="oracle",
+                                  sparsity=sparsity, wall_time_s=0.0, **scores)
 
 
 def test_failed_cell_records_its_error_type(tmp_path, monkeypatch):
@@ -504,8 +541,8 @@ def test_bad_unprune_settings_rejected_before_training(
     with pytest.raises(ConfigError, match=error):
         parse_config_text(text)
     calls = []
-    monkeypatch.setattr(experiment_module, "train_with_cfg", _counting(
-        calls, "train", experiment_module.train_with_cfg))
+    monkeypatch.setattr(oracle_module, "train_with_cfg", _counting(
+        calls, "train", oracle_module.train_with_cfg))
     config_path = tmp_path / "bad.ini"
     config_path.write_text(text)
     assert main(["run", "--config", str(config_path), "--out",
@@ -639,7 +676,7 @@ def test_cli_second_call_loads_the_cached_model(tmp_path, monkeypatch,
     argv = [command, "--config", str(config_path), "--out", str(tmp_path)]
     assert main(argv) == 0
     first = (tmp_path / output).read_bytes()
-    monkeypatch.setattr(experiment_module, "train_with_cfg", no_training)
+    monkeypatch.setattr(oracle_module, "train_with_cfg", no_training)
     assert main(argv) == 0
     assert (tmp_path / output).read_bytes() == first
 
@@ -647,8 +684,8 @@ def test_cli_second_call_loads_the_cached_model(tmp_path, monkeypatch,
 def test_cli_train_then_unprune_trains_once(tmp_path, monkeypatch):
     # train writes the dense cache entry that unprune then reads.
     calls = []
-    monkeypatch.setattr(experiment_module, "train_with_cfg", _counting(
-        calls, "train", experiment_module.train_with_cfg))
+    monkeypatch.setattr(oracle_module, "train_with_cfg", _counting(
+        calls, "train", oracle_module.train_with_cfg))
     config_path = tmp_path / "tiny.ini"
     config_path.write_text(TINY_CONFIG)
     for command in ("train", "unprune"):

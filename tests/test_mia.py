@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unprune.cli import DEFAULT_MIA_RATIOS
 from unprune.data import Dataset, gen_blobs, split_delete
 from unprune.errors import InputError
 from unprune.mia import (
@@ -98,9 +99,8 @@ def test_evaluate_degenerate_inputs_rejected(trained):
 
 def test_ratio_sweep_counts_and_repeatability(trained):
     model, train, test, split = trained
-    ratios = [round(0.8 + 0.05 * i, 2) for i in range(9)]
     reports = ratio_sweep(model, train, split.forget_indices, test,
-                          np.arange(60), ratios, SeededRng(5))
+                          np.arange(60), DEFAULT_MIA_RATIOS, SeededRng(5))
     assert len(reports) == 9
     # Identical ratios reproduce identical reports regardless of position.
     again = ratio_sweep(model, train, split.forget_indices, test,
@@ -197,9 +197,8 @@ def test_fit_threshold_equals_loop(values, sizes, data):
 
 def test_sweep_csv_golden(tmp_path, trained):
     model, train, test, split = trained
-    ratios = [round(0.8 + 0.05 * i, 2) for i in range(9)]
     reports = ratio_sweep(model, train, split.forget_indices, test,
-                          np.arange(60), ratios, SeededRng(5))
+                          np.arange(60), DEFAULT_MIA_RATIOS, SeededRng(5))
     path = tmp_path / "sweep.csv"
     sweep_to_csv(reports, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (

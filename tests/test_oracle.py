@@ -41,26 +41,30 @@ def small_task():
 
 @pytest.fixture(params=["oracle", "dense"])
 def entry(request, small_task):
-    """One kind of model-cache entry: (lookup, build, file name).
+    """One kind of model-cache entry: (lookup, build, file name, files).
 
     ``lookup(cache_dir)`` returns (model, wall_s, hit) through the cache,
-    ``build()`` the same model built without one.
+    ``build()`` the same model built without one; ``files`` lists the cache
+    directory after a lookup (an oracle also stores its dense model).
     """
     train, split, cfg = small_task
     if request.param == "oracle":
         args = (train, split, [2, 10, 2], cfg, 0.5, 60)
-        key = oracle_key(*args[:5], "unstructured", "global", 60, False, 1)
+        key = oracle_key(*args[:5], "unstructured", "global", 60)
+        retained = dense_key(train, split.retain_indices, [2, 10, 2], cfg, 60)
         return (lambda cache: cached_oracle(cache, *args),
-                lambda: retrain_reprune(*args)[0], f"oracle-{key}.bin")
+                lambda: retrain_reprune(*args)[0], f"oracle-{key}.bin",
+                [f"dense-{retained}.bin", f"oracle-{key}.bin"])
 
     def lookup(cache):
         setup = prepare_seed(DENSE_CFG, 60, cache)
         return setup.dense, setup.train_wall, setup.log is None
 
     dense_data = build_data(DENSE_CFG, 60)[0]
-    key = dense_key(dense_data, DENSE_CFG.arch_dims(), DENSE_CFG.train, 60)
-    return (lookup, lambda: prepare_seed(DENSE_CFG, 60).dense,
-            f"dense-{key}.bin")
+    key = dense_key(dense_data, np.arange(dense_data.n), DENSE_CFG.arch_dims(),
+                    DENSE_CFG.train, 60)
+    name = f"dense-{key}.bin"
+    return (lookup, lambda: prepare_seed(DENSE_CFG, 60).dense, name, [name])
 
 
 def _same_model(a, b):
@@ -92,23 +96,6 @@ def test_oracle_reaches_requested_sparsity(small_task):
     assert abs(report.sparsity - 0.5) <= 1.0 / report.total_weights
 
 
-def test_oracle_rewind_uses_given_init(small_task):
-    train, split, cfg = small_task
-    donor = build_model([2, 10, 2], 999)
-    model, _ = retrain_reprune(train, split, [2, 10, 2], cfg, 0.5, 60,
-                               rewind_from=donor)
-    for snap, donor_snap in zip(model.init_snapshot, donor.init_snapshot):
-        assert np.array_equal(snap, donor_snap)
-
-
-def test_imp_variant_runs_and_restores_sparsity(small_task):
-    train, split, cfg = small_task
-    model, _ = retrain_reprune(train, split, [2, 10, 2], cfg, 0.6, 60,
-                               imp_rounds=3)
-    report = sparsity_of(model)
-    assert abs(report.sparsity - 0.6) <= 1.0 / report.total_weights
-
-
 def test_cache_round_trip(tmp_path, small_task):
     train, split, cfg = small_task
     cache = str(tmp_path / "cache")
@@ -126,21 +113,23 @@ def test_cache_round_trip(tmp_path, small_task):
 def test_cache_key_sensitivity(small_task):
     train, split, cfg = small_task
     base = oracle_key(train, split, [2, 10, 2], cfg, 0.5, "unstructured",
-                      "global", 60, False, 1)
+                      "global", 60)
     other_seed = oracle_key(train, split, [2, 10, 2], cfg, 0.5, "unstructured",
-                            "global", 61, False, 1)
+                            "global", 61)
     other_sparsity = oracle_key(train, split, [2, 10, 2], cfg, 0.6,
-                                "unstructured", "global", 60, False, 1)
+                                "unstructured", "global", 60)
     assert len({base, other_seed, other_sparsity}) == 3
+    rows = np.arange(train.n)
     dense = {
-        dense_key(train, [2, 10, 2], cfg, 60),
-        dense_key(train, [2, 10, 2], cfg, 61),
-        dense_key(train, [2, 12, 2], cfg, 60),
-        dense_key(train, [2, 10, 2], replace(cfg, epochs=121), 60),
-        dense_key(train, [2, 10, 2], replace(cfg, lr=0.2), 60),
-        dense_key(train, [2, 10, 2], replace(cfg, batch_size=60), 60),
+        dense_key(train, rows, [2, 10, 2], cfg, 60),
+        dense_key(train, split.retain_indices, [2, 10, 2], cfg, 60),
+        dense_key(train, rows, [2, 10, 2], cfg, 61),
+        dense_key(train, rows, [2, 12, 2], cfg, 60),
+        dense_key(train, rows, [2, 10, 2], replace(cfg, epochs=121), 60),
+        dense_key(train, rows, [2, 10, 2], replace(cfg, lr=0.2), 60),
+        dense_key(train, rows, [2, 10, 2], replace(cfg, batch_size=60), 60),
     }
-    assert len(dense) == 6
+    assert len(dense) == 7
 
 
 def test_cache_version_salts_every_key(small_task, monkeypatch):
@@ -148,8 +137,8 @@ def test_cache_version_salts_every_key(small_task, monkeypatch):
 
     def keys():
         return (oracle_key(train, split, [2, 10, 2], cfg, 0.5, "unstructured",
-                           "global", 60, False, 1),
-                dense_key(train, [2, 10, 2], cfg, 60))
+                           "global", 60),
+                dense_key(train, np.arange(train.n), [2, 10, 2], cfg, 60))
 
     before = keys()
     monkeypatch.setattr(oracle_module, "CACHE_VERSION",
@@ -167,7 +156,7 @@ def test_oracle_diverges_from_original(ref_grid):
 
 
 def test_cache_write_is_atomic(tmp_path, entry, monkeypatch):
-    lookup, _, name = entry
+    lookup, _, _, files = entry
     cache = tmp_path / "cache"
 
     def broken_save(model, path, extra=None):
@@ -182,28 +171,48 @@ def test_cache_write_is_atomic(tmp_path, entry, monkeypatch):
     monkeypatch.undo()
     _, _, hit = lookup(str(cache))
     assert not hit
-    assert os.listdir(cache) == [name]
+    assert sorted(os.listdir(cache)) == files
 
 
-def test_structured_imp_rounds_rejected(small_task):
-    # Iterative magnitude pruning is defined for unstructured masks only.
+def _benchmark_oracle(cache_dir, cfg, seed, sparsity, train, split):
+    # The call of perfbench/workloads.py:cached_oracle, by position.
+    return cached_oracle(
+        cache_dir, train, split, cfg.arch_dims(), cfg.train, sparsity, seed,
+        cfg.prune_mode, cfg.scope, None, cfg.imp_rounds)
+
+
+def test_benchmark_call_misses_through_one_retrain_then_hits(
+        tmp_path, monkeypatch):
+    train, _, split = build_data(DENSE_CFG, 60)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return retrain_reprune(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "retrain_reprune", counting)
+    cache = str(tmp_path / "cache")
+    first, wall, hit = _benchmark_oracle(cache, DENSE_CFG, 60, 0.5, train,
+                                         split)
+    assert not hit and len(calls) == 1
+    again, stored, hit = _benchmark_oracle(cache, DENSE_CFG, 60, 0.5, train,
+                                           split)
+    assert hit and len(calls) == 1 and stored == wall
+    _same_model(again, first)
+
+
+def test_rewind_and_imp_slots_take_only_none_and_one(small_task):
     train, split, cfg = small_task
-    with pytest.raises(InputError, match="imp_rounds"):
-        retrain_reprune(train, split, [2, 10, 10, 2], cfg, 0.5, 60,
-                        mode="structured", imp_rounds=3)
-
-
-def test_imp_rounds_below_one_rejected(small_task):
-    # 0 and -3 would otherwise train one round under their own cache keys.
-    train, split, cfg = small_task
-    for rounds in (0, -3):
+    args = (None, train, split, [2, 10, 2], cfg, 0.5, 60, "unstructured",
+            "global")
+    for rewind, rounds in ((build_model([2, 10, 2], 60), 1), (None, 0),
+                           (None, 3)):
         with pytest.raises(InputError, match="imp_rounds"):
-            retrain_reprune(train, split, [2, 10, 2], cfg, 0.5, 60,
-                            imp_rounds=rounds)
+            cached_oracle(*args, rewind, rounds)
 
 
 def test_corrupt_cache_file_is_retrained(tmp_path, entry):
-    lookup, build, name = entry
+    lookup, build, name, files = entry
     cache = tmp_path / "cache"
     lookup(str(cache))
     path = cache / name
@@ -213,12 +222,12 @@ def test_corrupt_cache_file_is_retrained(tmp_path, entry):
     fresh = build()
     for got in (model, load_snapshot(str(path))):
         _same_model(got, fresh)
-    assert os.listdir(cache) == [name]
+    assert sorted(os.listdir(cache)) == files
 
 
 def test_entry_without_stored_wall_is_rebuilt(tmp_path, entry):
     # An entry that carries no build wall time cannot report one on a hit.
-    lookup, build, name = entry
+    lookup, build, name, _ = entry
     cache = tmp_path / "cache"
     cache.mkdir()
     save_snapshot(build(), str(cache / name))
