@@ -1,8 +1,8 @@
 """Command-line entry point: every pipeline stage independently invocable.
 
 Subcommands: train, prune, oracle, unprune, evaluate, mia-sweep, run, plot.
-Exit codes: 0 full success, 1 a config, argument or input-file error,
-2 partial cell failures.
+Exit codes: 0 full success, 1 a config, argument or input-file error or
+a diverging training, 2 partial cell failures.
 The output directory is UNPRUNE_OUT if set, else --out, else [run] out.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, parse_config, parse_key
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, NumericError
 from .experiment import (
     _prune_to,
     _scores,
@@ -64,7 +64,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     # Training writes the dense cache entry; a hit has no log to write, so
     # it trains again without the cache.
-    setup = prepare_seed(cfg, seed, model_cache_dir(cfg, out))
+    setup = prepare_seed(cfg, seed, model_cache_dir(out))
     if setup.log is None:
         setup = prepare_seed(cfg, seed)
     train_data, _, _, model, log, *_ = setup
@@ -85,7 +85,7 @@ def cmd_prune(cfg: ExperimentConfig, args) -> int:
         _prune_to(model, cfg, sparsity)
     else:
         model = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed,
-                             model_cache_dir(cfg, out)).pruned[sparsity]
+                             model_cache_dir(out)).pruned[sparsity]
     report = sparsity_of(model)
     snap = os.path.join(out, f"pruned_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
@@ -100,7 +100,7 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
     sparsity = cfg.sparsities[0]
     train_data, _, split = build_data(cfg, seed)
     model, wall, hit = cell_oracle(cfg, seed, sparsity, train_data, split,
-                                   model_cache_dir(cfg, out))
+                                   model_cache_dir(out))
     snap = os.path.join(out, f"oracle_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
     print(f"oracle seed={seed} s={sparsity:g} wall={wall:.3f}s "
@@ -114,7 +114,7 @@ def cmd_unprune(cfg: ExperimentConfig, args) -> int:
     sparsity = cfg.sparsities[0]
     method = cfg.methods[0]
     setup = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed,
-                         model_cache_dir(cfg, out))
+                         model_cache_dir(out))
     model = setup.pruned[sparsity]
     trace = cell_unprune(cfg, seed, sparsity, method, model, setup.train_data,
                          setup.test_data, setup.split)
@@ -153,7 +153,7 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
         train_data, test_data, split = build_data(cfg, seed)
     else:
         train_data, test_data, split, model, *_ = prepare_seed(
-            cfg, seed, model_cache_dir(cfg, out))
+            cfg, seed, model_cache_dir(out))
     if test_data is None:
         raise ConfigError("mia-sweep needs held-out test data as non-members")
     ratios = list(cfg.mia_ratios or DEFAULT_MIA_RATIOS)
@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, FormatError) as exc:
+    except (InputError, FormatError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,8 +49,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("gradient_ascent", "finetune")
     unlearn_defaults: UnlearnConfig = field(default_factory=UnlearnConfig)
     unlearn_overrides: dict = field(default_factory=dict)
-    # oracle
-    oracle_cache: bool = True
     # mia
     mia_ratios: tuple[float, ...] = ()
     # run
@@ -120,7 +118,6 @@ _UNLEARN_ROWS = {
     "steps": ("unlearn_defaults.steps", int),
     "rate": ("unlearn_defaults.rate", float),
     "fisher_noise_scale": ("unlearn_defaults.fisher_noise_scale", float),
-    "batch_size": ("unlearn_defaults.batch_size", int),
 }
 
 # The schema of the config file: _KEYS[section][key] = (field, parse), where
@@ -139,8 +136,7 @@ _KEYS: dict[str, dict[str, tuple]] = {
                 "test_labels": ("test_labels", str)},
     "model": {"hidden": ("hidden", _csv(int))},
     "train": {"epochs": ("train.epochs", int),
-              "lr": ("train.lr", float),
-              "batch_size": ("train.batch_size", int)},
+              "lr": ("train.lr", float)},
     "delete": {"ratio": ("delete_ratio", float),
                "target_class": ("target_class",
                                 lambda raw: int(raw) if raw else None)},
@@ -153,7 +149,6 @@ _KEYS: dict[str, dict[str, tuple]] = {
                 "random_init_std": ("random_init_std", float)},
     "unlearn": {"methods": ("methods", _csv(str)), **_UNLEARN_ROWS},
     **{f"unlearn.{method}": _UNLEARN_ROWS for method in METHODS},
-    "oracle": {"cache": ("oracle_cache", _bool)},
     "mia": {"ratios": ("mia_ratios", _csv(float))},
     "run": {"seeds": ("seeds", _csv(int)),
             "out": ("out_dir", str),

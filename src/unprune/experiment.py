@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -192,11 +193,9 @@ def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, UnpruneTrace]:
     )
 
 
-def model_cache_dir(cfg: ExperimentConfig, out_dir: str | None) -> str | None:
-    """The model cache under ``out_dir``; None without one or with
-    ``[oracle] cache = false``."""
-    return (os.path.join(out_dir, "oracle_cache")
-            if (out_dir and cfg.oracle_cache) else None)
+def model_cache_dir(out_dir: str | None) -> str | None:
+    """The model cache under ``out_dir``; None without one."""
+    return os.path.join(out_dir, "oracle_cache") if out_dir else None
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
@@ -205,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
     cfg.validate()
     report = ExperimentReport()
     traces: dict[tuple, UnpruneTrace] = {}
-    cache_dir = model_cache_dir(cfg, out_dir)
+    cache_dir = model_cache_dir(out_dir)
 
     for seed in cfg.seeds:
         (train_data, test_data, split, _, _, dense_wall, pruned_at,
@@ -238,6 +237,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
                         "seed": seed, "method": method,
                         "sparsity": sparsity, "error": str(exc),
                         "type": type(exc).__name__,
+                        "traceback": _frames(exc),
                     })
                     continue
                 report.rows.append(vs_oracle)
@@ -257,6 +257,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
             trace.to_csv(os.path.join(traces_dir,
                                       trace_name(seed, sparsity, method)))
     return report
+
+
+def _frames(exc: BaseException) -> list[str]:
+    """``exc``'s traceback as ``"<file>:<line> in <function>"`` frames.
+
+    Files are named by their base name, so the frames hold no absolute
+    path and two checkouts write the same bytes.
+    """
+    return [f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}"
+            for f in traceback.extract_tb(exc.__traceback__)]
 
 
 def emit_csv(report: ExperimentReport, path: str) -> None:

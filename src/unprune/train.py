@@ -1,8 +1,10 @@
-"""Plain SGD on the masked loss, plus accuracy evaluation.
+"""Plain full-batch gradient descent on the masked loss, plus accuracy
+evaluation.
 
-No momentum, no weight decay, no schedules: the simplest optimizer keeps
-seed-for-seed comparisons between runs interpretable. Masks are re-applied
-after every step, so training never changes the topology.
+No minibatches, momentum, weight decay or schedules: the simplest
+optimizer keeps seed-for-seed comparisons between runs interpretable.
+Masks are re-applied after every step, so training never changes the
+topology.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .numeric import SeededRng, _mean_loss, blas_scope, softmax_cross_entropy
 class TrainCfg:
     epochs: int = 200
     lr: float = 0.1
-    batch_size: int = 64
 
 
 @dataclass
@@ -43,21 +44,20 @@ def train_sgd(
     indices: np.ndarray,
     epochs: int,
     lr: float,
-    batch_size: int,
     rng: SeededRng,
 ) -> TrainLog:
-    """Minibatch SGD over the given rows; mutates the model in place.
+    """Full-batch gradient descent on the given rows; mutates the model.
 
-    Shuffling is seeded, the mask is re-applied after every step, and a
-    non-finite loss or product aborts with an error naming the epoch.
+    Each epoch is one step on all rows in a seeded shuffle, the mask is
+    re-applied after every step, and a non-finite loss or product aborts
+    with an error naming the epoch.
 
     Log row ``k`` is the (loss, accuracy) over ``indices`` of the model as
-    epoch ``k`` left it. Minibatch epochs and the last epoch take it from
-    ``evaluate``, which also checks that the trained model's forward pass
-    is finite. In full-batch training (``batch_size >= len(indices)``) the
-    step of epoch ``k + 1`` forward-passes every row through that same
-    model, so row ``k`` is scored from that pass, with the per-row losses
-    summed in ``indices`` order as ``evaluate`` sums them. The row then
+    epoch ``k`` left it. The step of epoch ``k + 1`` forward-passes every
+    row through that model, so row ``k`` is scored from that pass, with
+    the per-row losses summed in ``indices`` order as ``evaluate`` sums
+    them. The last row comes from ``evaluate``, which also checks that the
+    trained model's forward pass is finite. A row scored from a step
     equals ``evaluate``'s bit for bit provided the BLAS computes each row
     of a product independently of its position in the batch. OpenBLAS's
     Haswell kernels break that for the 2-32-32-2 and 2-64-32-2 nets when
@@ -69,9 +69,6 @@ def train_sgd(
         raise InputError("training index set is empty")
     if lr < 0:
         raise InputError(f"lr must be >= 0, got {lr}")
-    if batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {batch_size}")
-    full_batch = batch_size >= len(indices)
     step = GradientStep(masked=True)
     log = TrainLog()
     with blas_scope():
@@ -79,34 +76,24 @@ def train_sgd(
             perm = rng.permutation(len(indices))
             order = indices[perm]
             x, y = dataset.inputs[order], dataset.labels[order]
-            if full_batch:
-                with _diverged_at(max(epoch - 1, 0)):
-                    # This pass sees the model as the previous epoch left it.
-                    logits = step.forward(model, x)
-                    nll = step.loss_gradient(y, nll=epoch > 0)
-                    if epoch > 0:
-                        # evaluate sums the per-row losses in `indices` order.
-                        by_index = np.empty_like(nll)
-                        by_index[perm] = nll
-                        loss = _mean_loss(by_index)
+            with _diverged_at(max(epoch - 1, 0)):
+                # This pass sees the model as the previous epoch left it.
+                logits = step.forward(model, x)
+                nll = step.loss_gradient(y, nll=epoch > 0)
                 if epoch > 0:
-                    accuracy = float((np.argmax(logits, axis=1) == y).mean())
-                    log.record(epoch - 1, "train", loss, accuracy)
-                with _diverged_at(epoch):
-                    sgd_step(model, step.backward(model), lr)
-                    apply_mask(model)
-            else:
-                with _diverged_at(epoch):
-                    for start in range(0, len(order), batch_size):
-                        grads = step.gradients(model, x[start:start + batch_size],
-                                               y[start:start + batch_size])
-                        sgd_step(model, grads, lr)
-                        apply_mask(model)
-            if full_batch and epoch < epochs - 1:
-                continue
+                    # evaluate sums the per-row losses in `indices` order.
+                    by_index = np.empty_like(nll)
+                    by_index[perm] = nll
+                    loss = _mean_loss(by_index)
+            if epoch > 0:
+                accuracy = float((np.argmax(logits, axis=1) == y).mean())
+                log.record(epoch - 1, "train", loss, accuracy)
             with _diverged_at(epoch):
-                loss, accuracy = evaluate(model, dataset, indices)
-            log.record(epoch, "train", loss, accuracy)
+                sgd_step(model, step.backward(model), lr)
+                apply_mask(model)
+                if epoch == epochs - 1:
+                    log.record(epoch, "train",
+                               *evaluate(model, dataset, indices))
     return log
 
 
@@ -138,7 +125,7 @@ def train_with_cfg(
     cfg: TrainCfg,
     rng: SeededRng,
 ) -> TrainLog:
-    return train_sgd(model, dataset, indices, cfg.epochs, cfg.lr, cfg.batch_size, rng)
+    return train_sgd(model, dataset, indices, cfg.epochs, cfg.lr, rng)
 
 
 def evaluate(

@@ -5,7 +5,7 @@ Three desk-scale families plus a no-op ablation:
   * gradient_ascent  -- full-batch ascent on the forget-set loss
   * fisher_forgetting -- Gaussian scrubbing scaled by the inverse diagonal
     Fisher (parameters important for the retain set receive less noise)
-  * finetune          -- SGD descent on the retain set only
+  * finetune          -- full-batch descent on the retain-set loss
   * noop              -- identity, for ablations
 
 All methods consume and return the same model shape, so the un-pruning loop
@@ -16,7 +16,6 @@ ignores masks entirely, which is what the loop uses after re-initialization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ class UnlearnConfig:
     steps: int = 1
     rate: float = 1e-3
     fisher_noise_scale: float = 1e-3
-    batch_size: int = 64
 
     def validate(self) -> "UnlearnConfig":
         if self.method not in METHODS:
@@ -51,11 +49,16 @@ class UnlearnConfig:
         return self
 
 
-def _descend(model: MaskedModel, batches, rate: float, dense: bool) -> MaskedModel:
-    """One ``sgd_step`` on the loss of each ``(inputs, labels)`` batch, in place."""
+def _descend(model: MaskedModel, dataset: Dataset, rows: np.ndarray,
+             role: str, steps: int, rate: float, dense: bool) -> MaskedModel:
+    """``steps`` full-batch ``sgd_step``s on the loss over ``rows``, in place."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
+        raise InputError(f"{role} row set is empty")
+    x, y = dataset.inputs[rows], dataset.labels[rows]
     step = GradientStep(masked=not dense)
     with blas_scope():
-        for x, y in batches:
+        for _ in range(steps):
             sgd_step(model, step.gradients(model, x, y), rate)
     return model
 
@@ -69,11 +72,7 @@ def unlearn_gradient_ascent(
     dense: bool = False,
 ) -> MaskedModel:
     """Full-batch gradient ascent on the forget-set loss, in place."""
-    forget_rows = np.asarray(forget_rows, dtype=np.int64)
-    if len(forget_rows) == 0:
-        raise InputError("forget row set is empty")
-    batch = (dataset.inputs[forget_rows], dataset.labels[forget_rows])
-    return _descend(model, itertools.repeat(batch, steps), -rate, dense)
+    return _descend(model, dataset, forget_rows, "forget", steps, -rate, dense)
 
 
 def fisher_diag(
@@ -143,40 +142,11 @@ def unlearn_finetune(
     retain_rows: np.ndarray,
     steps: int,
     rate: float,
-    batch_size: int,
-    rng: SeededRng,
     dense: bool = False,
 ) -> MaskedModel:
-    """SGD descent on the retain set only, for a fixed number of steps."""
-    retain_rows = np.asarray(retain_rows, dtype=np.int64)
-    if len(retain_rows) == 0:
-        raise InputError("retain row set is empty")
-    if batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {batch_size}")
-    batches = _retain_batches(dataset, retain_rows, steps, batch_size, rng)
-    return _descend(model, batches, rate, dense)
-
-
-def _retain_batches(dataset: Dataset, rows: np.ndarray, steps: int,
-                    batch_size: int, rng: SeededRng):
-    """Finetune's batches: one batch of all rows, or slices of a reshuffled
-    permutation.
-
-    The first shuffle is drawn even when all rows fit, as it always was.
-    """
-    order = rows[rng.permutation(len(rows))]
-    if batch_size >= len(rows):
-        yield from itertools.repeat((dataset.inputs[rows], dataset.labels[rows]),
-                                    steps)
-        return
-    cursor = 0
-    for _ in range(steps):
-        if cursor + batch_size > len(order):
-            order = rows[rng.permutation(len(rows))]
-            cursor = 0
-        batch = order[cursor:cursor + batch_size]
-        cursor += batch_size
-        yield dataset.inputs[batch], dataset.labels[batch]
+    """Full-batch descent on the retain-set loss, in place: the mirror of
+    gradient ascent on the forget rows."""
+    return _descend(model, dataset, retain_rows, "retain", steps, rate, dense)
 
 
 def unlearn(
@@ -203,6 +173,6 @@ def unlearn(
     if config.method == "finetune":
         return unlearn_finetune(
             model, dataset, split.retain_indices, config.steps, config.rate,
-            config.batch_size, rng.split("finetune-shuffle"), dense,
+            dense,
         )
     raise ConfigError(f"unknown unlearning method {config.method!r}")

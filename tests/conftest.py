@@ -52,7 +52,7 @@ def _cached_setups(cfg, out):
     """
     setups = {}
     for seed in cfg.seeds:
-        setups[seed] = prepare_seed(cfg, seed, model_cache_dir(cfg, str(out)))
+        setups[seed] = prepare_seed(cfg, seed, model_cache_dir(str(out)))
         assert setups[seed].log is None, f"seed {seed}: dense model not cached"
     return setups
 
@@ -84,7 +84,7 @@ def struct_runs(struct_cfg, struct_grid):
 @pytest.fixture(scope="session")
 def ref_oracles(ref_cfg, ref_grid, ref_runs):
     """The reference grid's retrain+reprune oracle, one per seed."""
-    cache_dir = model_cache_dir(ref_cfg, str(ref_grid[1]))
+    cache_dir = model_cache_dir(str(ref_grid[1]))
     out = {}
     for seed, run in ref_runs.items():
         out[seed], _, hit = cell_oracle(ref_cfg, seed, ref_cfg.sparsities[0],

@@ -200,7 +200,7 @@ def test_criterion_05_sparsity_restoration():
         cfg = UnpruneConfig(
             s, p, t,
             UnlearnConfig(method=methods[case % 4], steps=2, rate=1e-3,
-                          fisher_noise_scale=1e-3, batch_size=16),
+                          fisher_noise_scale=1e-3),
         )
         model, trace = unprune(model, data, split, cfg, SeededRng(7000 + case))
         assert sparsity_of(model).zero_mask_entries == target_zeros, case
@@ -218,7 +218,7 @@ def test_criterion_06_kl_ground_truth(ref_cfg, ref_grid, ref_runs,
     assert self_kl == 0.0
     wins = 0
     per_seed = []
-    cache_dir = model_cache_dir(ref_cfg, str(ref_grid[1]))
+    cache_dir = model_cache_dir(str(ref_grid[1]))
     for seed, run in ref_runs.items():
         # Each sparsity's oracle prunes the model the grid trained on the
         # retained rows, read from the grid's cache.
@@ -309,7 +309,7 @@ def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
     test = gen_blobs(rng.split("data-test"), 250, 2, 2, 0.5)
     split = split_delete(train, 0.25, rng.split("delete"))
     model = train_model(None, train, np.arange(train.n), ref_cfg.arch_dims(),
-                        TrainCfg(300, 0.5, 400), 100)[0]
+                        TrainCfg(300, 0.5), 100)[0]
     report = mia_evaluate(model, train, split.forget_indices, test,
                           np.arange(100), 1.0, SeededRng(100).split("mia-1"))
     ok = spread >= 0.2 and 0.45 <= report.correctness <= 0.55

@@ -55,7 +55,6 @@ hidden = 8
 [train]
 epochs = 40
 lr = 0.3
-batch_size = 60
 
 [delete]
 ratio = 0.1
@@ -72,7 +71,6 @@ iterations = 2
 methods = noop,finetune
 steps = 3
 rate = 0.05
-batch_size = 54
 
 [unlearn.finetune]
 steps = 5
@@ -92,6 +90,11 @@ def test_unknown_section_and_key_rejected():
         parse_config_text("[unlearn.finetune]\nlearning = 3\n")
     with pytest.raises(ConfigError):
         parse_config_text("[unlearn.warp]\nsteps = 3\n")
+    # Every step is full-batch, so no section takes a batch size.
+    for section in ("train", "unlearn", "unlearn.finetune"):
+        with pytest.raises(ConfigError,
+                           match=f"unknown key 'batch_size' in \\[{section}\\]"):
+            parse_config_text(f"[{section}]\nbatch_size = 32\n")
 
 
 def test_bad_values_rejected():
@@ -108,17 +111,23 @@ def test_bad_values_rejected():
             replace(parse_config_text(""), **{name: 2}).validate()
 
 
+# The config has no [oracle] section: the oracle has one variant, and an
+# out dir always holds the model cache.
+ORACLE_GONE = r"unknown section \[oracle\]"
+
+
 def test_rewind_key_rejected():
     # The oracle already starts from the original model's init, so a rewind
-    # to it changed nothing but the cache key.
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("[oracle]\nrewind = true\n")
+    # to it would change nothing but the cache key.
+    for key in ("rewind = true", "cache = true", "cache = false"):
+        with pytest.raises(ConfigError, match=ORACLE_GONE):
+            parse_config_text(f"[oracle]\n{key}\n")
 
 
 def test_imp_rounds_key_rejected():
     # The oracle has one variant: retrain on the retained rows, prune once.
     for rounds in (0, 1, 3):
-        with pytest.raises(ConfigError, match="unknown key 'imp_rounds'"):
+        with pytest.raises(ConfigError, match=ORACLE_GONE):
             parse_config_text(f"[oracle]\nimp_rounds = {rounds}\n")
 
 
@@ -142,7 +151,6 @@ hidden = 5,6
 [train]
 epochs = 9
 lr = 0.2
-batch_size = 10
 
 [delete]
 ratio = 0.2
@@ -164,10 +172,6 @@ methods = finetune,noop
 steps = 7
 rate = 0.02
 fisher_noise_scale = 0.003
-batch_size = 9
-
-[oracle]
-cache = false
 
 [mia]
 ratios = 0.5,0.9
@@ -178,7 +182,7 @@ out = elsewhere
 record_timing = false
 """ + "".join(
     f"\n[unlearn.{m}]\nsteps = {11 + i}\nrate = 0.{5 + i}\n"
-    f"fisher_noise_scale = 0.00{5 + i}\nbatch_size = {21 + i}\n"
+    f"fisher_noise_scale = 0.00{5 + i}\n"
     for i, m in enumerate(METHODS))
 
 
@@ -298,13 +302,10 @@ def _counting(calls, name, fn):
     return wrapper
 
 
-@pytest.mark.parametrize("cache", [True, False])
-def test_rerun_into_one_out_dir_reads_the_model_cache(tmp_path, monkeypatch,
-                                                      cache):
+def test_rerun_into_one_out_dir_reads_the_model_cache(tmp_path, monkeypatch):
     # The second run loads the dense model and the oracle instead of
-    # training them, and writes the same bytes; without the cache both
-    # runs train and no cache directory appears.
-    cfg = replace(parse_config_text(TINY_CONFIG), oracle_cache=cache)
+    # training them, and writes the same bytes.
+    cfg = parse_config_text(TINY_CONFIG)
     out = tmp_path / "out"
     run_experiment(cfg, out_dir=str(out))
     names = ["results.csv", "results.json",
@@ -316,8 +317,7 @@ def test_rerun_into_one_out_dir_reads_the_model_cache(tmp_path, monkeypatch,
     monkeypatch.setattr(oracle_module, "retrain_reprune", _counting(
         calls, "oracle", oracle_module.retrain_reprune))
     run_experiment(cfg, out_dir=str(out))
-    assert calls == ([] if cache else ["train", "oracle", "train"])
-    assert (out / "oracle_cache").exists() == cache
+    assert calls == []
     assert {name: (out / name).read_bytes() for name in names} == first
 
 
@@ -359,7 +359,7 @@ def test_grid_trains_one_retained_model_per_seed(tmp_path, monkeypatch):
             oracle, _ = oracle_module.retrain_reprune(
                 train_data, split, cfg.arch_dims(), cfg.train, sparsity, seed)
             cached, _, hit = cell_oracle(cfg, seed, sparsity, train_data, split,
-                                         model_cache_dir(cfg, str(tmp_path)))
+                                         model_cache_dir(str(tmp_path)))
             assert hit
             for got, want in ((cached.weights, oracle.weights),
                               (cached.masks, oracle.masks)):
@@ -386,9 +386,17 @@ def test_failed_cell_records_its_error_type(tmp_path, monkeypatch):
     get_threads, _ = numeric._BLAS_THREADS
     threads = get_threads()
     report = run_experiment(parse_config_text(TINY_CONFIG), out_dir=str(tmp_path))
-    assert report.errors == [{"seed": 0, "method": "finetune", "sparsity": 0.5,
-                              "error": "diverged on purpose",
-                              "type": "NumericError"}]
+    (error,) = report.errors
+    assert {k: v for k, v in error.items() if k != "traceback"} == {
+        "seed": 0, "method": "finetune", "sparsity": 0.5,
+        "error": "diverged on purpose", "type": "NumericError"}
+    # Frames run from the grid's catch to the raise, each file named by its
+    # base name only.
+    frames = error["traceback"]
+    assert frames[0].startswith("experiment.py:")
+    assert frames[-1].startswith("test_config_cli.py:")
+    assert frames[-1].endswith(" in failing_unlearn")
+    assert not any(os.sep in frame for frame in frames)
     assert report_from_json(str(tmp_path / "results.json")).errors == report.errors
     methods = [line.split(",")[1] for line in
                (tmp_path / "results.csv").read_text().splitlines()[1:]]
@@ -504,6 +512,17 @@ def test_cli_config_error_exit_code(tmp_path):
     config_path.write_text("[dataset]\nkind = parquet\n")
     assert main(["run", "--config", str(config_path), "--out",
                  str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_cli_diverging_training_exits_1(tmp_path, capsys, command):
+    config_path = tmp_path / "diverging.ini"
+    config_path.write_text(TINY_CONFIG.replace("lr = 0.3", "lr = 1e300"))
+    assert main([command, "--config", str(config_path), "--out",
+                 str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at epoch 0")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["prune", "oracle", "unprune"])

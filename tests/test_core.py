@@ -183,7 +183,7 @@ def test_every_method_runs_through_the_loop():
         cfg = UnpruneConfig(
             0.5, 0.05, 2,
             UnlearnConfig(method=method, steps=2, rate=1e-3,
-                          fisher_noise_scale=1e-3, batch_size=16),
+                          fisher_noise_scale=1e-3),
         )
         model, trace = unprune(model, data, split, cfg, SeededRng(21))
         assert trace.final_sparsity == pytest.approx(0.5, abs=1.0 / 20)
@@ -195,8 +195,7 @@ def test_unprune_deterministic():
     for _ in range(2):
         model = pruned_model(22, dims=(2, 10, 2), sparsity=0.5)
         cfg = UnpruneConfig(0.5, 0.1, 2,
-                            UnlearnConfig(method="finetune", steps=5, rate=0.05,
-                                          batch_size=16))
+                            UnlearnConfig(method="finetune", steps=5, rate=0.05))
         model, _ = unprune(model, data, split, cfg, SeededRng(23))
         outs.append(np.concatenate([model.flat_weights(), model.flat_masks()]))
     assert np.array_equal(outs[0], outs[1])
@@ -207,8 +206,7 @@ def test_unprune_sets_blas_threads_once(blas_threads, method):
     data, split = tiny_task(22)
     model = pruned_model(22, dims=(2, 10, 2), sparsity=0.5)
     cfg = UnpruneConfig(0.5, 0.1, 2,
-                        UnlearnConfig(method=method, steps=5, rate=0.05,
-                                      batch_size=16))
+                        UnlearnConfig(method=method, steps=5, rate=0.05))
     unprune(model, data, split, cfg, SeededRng(23))
     assert blas_threads.sets == [1, 3]
 
@@ -219,8 +217,7 @@ def test_growth_legality_and_restoration_structured():
     prune_structured_l2(model, 0.5)
     pruned_counts = [int(m.size - m.sum()) for m in model.masks]
     cfg = UnpruneConfig(0.5, 0.1, 2,
-                        UnlearnConfig(method="finetune", steps=3, rate=0.05,
-                                      batch_size=16))
+                        UnlearnConfig(method="finetune", steps=3, rate=0.05))
     model, trace = unprune(model, data, split, cfg, SeededRng(25),
                            mode="structured")
     assert [int(m.size - m.sum()) for m in model.masks] == pruned_counts

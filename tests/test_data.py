@@ -59,7 +59,7 @@ def test_blobs_trained_model_reaches_95_percent():
     train = gen_blobs(SeededRng(21).split("tr"), 500, 2, 2, 0.5)
     test = gen_blobs(SeededRng(21).split("te"), 250, 2, 2, 0.5)
     model = build_model([2, 16, 2], 21)
-    train_with_cfg(model, train, np.arange(train.n), TrainCfg(150, 0.3, 64),
+    train_with_cfg(model, train, np.arange(train.n), TrainCfg(150, 0.3),
                    SeededRng(21).split("sgd"))
     _, acc = evaluate(model, test, np.arange(test.n))
     assert acc > 0.95

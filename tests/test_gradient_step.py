@@ -92,7 +92,7 @@ def test_full_batch_divergence_mid_run_names_epoch():
     data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
     model = build_model([2, 12, 2], 9)
     with pytest.raises(NumericError, match="epoch 0"):
-        train_sgd(model, data, np.arange(data.n), 3, 1e200, 80, SeededRng(10))
+        train_sgd(model, data, np.arange(data.n), 3, 1e200, SeededRng(10))
 
 
 def _run_loop(loop, rate):
@@ -103,14 +103,12 @@ def _run_loop(loop, rate):
     if loop == "ascent":
         unlearn_gradient_ascent(model, data, rows, 5, rate)
     elif loop == "finetune":
-        unlearn_finetune(model, data, rows, 5, rate, 16, SeededRng(11))
+        unlearn_finetune(model, data, rows, 5, rate)
     else:
-        batch = 80 if loop == "full_batch" else 16
-        train_sgd(model, data, rows, 5, rate, batch, SeededRng(10))
+        train_sgd(model, data, rows, 5, rate, SeededRng(10))
 
 
-@pytest.mark.parametrize("loop", ["full_batch", "minibatch", "ascent",
-                                  "finetune"])
+@pytest.mark.parametrize("loop", ["full_batch", "ascent", "finetune"])
 def test_step_loop_sets_blas_threads_once(blas_threads, loop):
     _run_loop(loop, 0.05)
     assert blas_threads.sets == [1, 3]
@@ -120,12 +118,11 @@ def test_step_loop_sets_blas_threads_once(blas_threads, loop):
 # state: the loop's epoch and the first non-finite product.
 _DIVERGED = {
     "full_batch": "^training diverged at epoch 0: matmul produced non-finite",
-    "minibatch": "^training diverged at epoch 0: matmul produced non-finite",
     "ascent": "^matmul produced non-finite",
 }
 
 
-@pytest.mark.parametrize("loop", ["full_batch", "minibatch", "ascent"])
+@pytest.mark.parametrize("loop", ["full_batch", "ascent"])
 def test_failing_step_loop_restores_blas_threads(blas_threads, loop):
     errstate = np.geterr()
     for rate in (1e200, 1e300):

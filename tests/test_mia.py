@@ -30,7 +30,7 @@ def trained():
     test = gen_blobs(rng.split("te"), 100, 2, 2, 1.5)
     split = split_delete(train, 0.2, rng.split("del"))
     model = build_model([2, 16, 2], 50)
-    train_with_cfg(model, train, np.arange(train.n), TrainCfg(300, 0.3, 50),
+    train_with_cfg(model, train, np.arange(train.n), TrainCfg(300, 0.3),
                    SeededRng(50).split("sgd"))
     return model, train, test, split
 
@@ -202,7 +202,7 @@ def test_sweep_csv_golden(tmp_path, trained):
     path = tmp_path / "sweep.csv"
     sweep_to_csv(reports, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9dd4bea82cff2324328482886f5ce18a31bd20805079cab9a1e0386843297bea"
+        "bf4e433d748f37b4e81fd6c1788d191730727db3b0584641e993bcafa1e43724"
     )
 
 

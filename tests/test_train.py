@@ -23,7 +23,7 @@ def test_zero_lr_leaves_weights_unchanged():
     data = gen_blobs(SeededRng(0), 20, 2, 2, 1.0)
     model = build_model([2, 8, 2], 0)
     before = [w.copy() for w in model.weights]
-    log = train_sgd(model, data, np.arange(data.n), 5, 0.0, 8, SeededRng(1))
+    log = train_sgd(model, data, np.arange(data.n), 5, 0.0, SeededRng(1))
     for w, b in zip(model.weights, before):
         assert np.array_equal(w, b)
     losses = {row[2] for row in log.rows}
@@ -33,7 +33,7 @@ def test_zero_lr_leaves_weights_unchanged():
 def test_xor_reaches_full_accuracy_within_2000_epochs():
     data = xor_dataset()
     model = build_model([2, 16, 2], 2)
-    log = train_sgd(model, data, np.arange(4), 2000, 0.1, 4, SeededRng(2))
+    log = train_sgd(model, data, np.arange(4), 2000, 0.1, SeededRng(2))
     assert max(row[3] for row in log.rows) == 1.0
 
 
@@ -42,7 +42,7 @@ def test_masked_entries_stay_zero_through_training():
     model = build_model([2, 12, 2], 3)
     prune_magnitude(model, 0.5)
     masks = [m.copy() for m in model.masks]
-    train_sgd(model, data, np.arange(data.n), 30, 0.2, 16, SeededRng(4))
+    train_sgd(model, data, np.arange(data.n), 30, 0.2, SeededRng(4))
     for w, m, m0 in zip(model.weights, model.masks, masks):
         assert np.array_equal(m, m0)
         assert np.all(w[m == 0.0] == 0.0)
@@ -53,7 +53,7 @@ def test_frozen_topology_sparsity_preserved():
     model = build_model([2, 12, 2], 5)
     prune_magnitude(model, 0.4)
     before = sparsity_of(model).sparsity
-    train_sgd(model, data, np.arange(data.n), 20, 0.2, 16, SeededRng(6))
+    train_sgd(model, data, np.arange(data.n), 20, 0.2, SeededRng(6))
     assert sparsity_of(model).sparsity == before
 
 
@@ -63,7 +63,7 @@ def test_training_is_seed_reproducible():
     finals = []
     for _ in range(2):
         model = build_model([2, 12, 2], 7)
-        log = train_sgd(model, data, np.arange(data.n), 15, 0.2, 16, SeededRng(8))
+        log = train_sgd(model, data, np.arange(data.n), 15, 0.2, SeededRng(8))
         logs.append(log.rows)
         finals.append(model.flat_weights())
     assert logs[0] == logs[1]
@@ -74,13 +74,13 @@ def test_divergence_raises_numeric_error_naming_epoch():
     data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
     model = build_model([2, 12, 2], 9)
     with pytest.raises(NumericError, match="epoch"):
-        train_sgd(model, data, np.arange(data.n), 50, 1e9, 40, SeededRng(10))
+        train_sgd(model, data, np.arange(data.n), 50, 1e9, SeededRng(10))
 
 
 def test_evaluate_all_correct():
     data = xor_dataset()
     model = build_model([2, 16, 2], 2)
-    train_sgd(model, data, np.arange(4), 2000, 0.1, 4, SeededRng(2))
+    train_sgd(model, data, np.arange(4), 2000, 0.1, SeededRng(2))
     _, acc = evaluate(model, data, np.arange(4))
     assert acc == 1.0
 
@@ -110,7 +110,7 @@ def test_memorization_gap_on_reference_run(ref_runs):
 def test_trainlog_csv(tmp_path):
     data = xor_dataset()
     model = build_model([2, 8, 2], 0)
-    log = train_with_cfg(model, data, np.arange(4), TrainCfg(3, 0.1, 4), SeededRng(0))
+    log = train_with_cfg(model, data, np.arange(4), TrainCfg(3, 0.1), SeededRng(0))
     path = tmp_path / "log.csv"
     log.to_csv(str(path))
     lines = path.read_text().splitlines()
@@ -124,15 +124,15 @@ def test_full_batch_divergence_in_last_epoch_names_epoch():
     data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
     model = build_model([2, 12, 2], 9)
     with pytest.raises(NumericError, match="epoch 0"):
-        train_sgd(model, data, np.arange(data.n), 1, 1e200, 80, SeededRng(10))
+        train_sgd(model, data, np.arange(data.n), 1, 1e200, SeededRng(10))
 
 
 def test_full_batch_log_rows_equal_evaluate_after_each_epoch():
     data = gen_blobs(SeededRng(12), 20, 2, 2, 1.0)
     rows = np.arange(data.n)
     model = build_model([2, 12, 2], 12)
-    log = train_sgd(model, data, rows, 10, 0.5, len(rows), SeededRng(13))
+    log = train_sgd(model, data, rows, 10, 0.5, SeededRng(13))
     for k in range(10):
         model = build_model([2, 12, 2], 12)
-        train_sgd(model, data, rows, k + 1, 0.5, len(rows), SeededRng(13))
+        train_sgd(model, data, rows, k + 1, 0.5, SeededRng(13))
         assert log.rows[k] == (k, "train", *evaluate(model, data, rows))

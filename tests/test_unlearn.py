@@ -27,7 +27,7 @@ def task():
     train = gen_blobs(rng.split("tr"), 60, 2, 2, 1.5)
     split = split_delete(train, 0.2, rng.split("del"))
     model = build_model([2, 16, 2], 40)
-    train_with_cfg(model, train, np.arange(train.n), TrainCfg(200, 0.3, 32),
+    train_with_cfg(model, train, np.arange(train.n), TrainCfg(200, 0.3),
                    SeededRng(40).split("sgd"))
     return train, split, model
 
@@ -56,7 +56,7 @@ def test_dispatch_deterministic(task):
     train, split, model = task
     for method in METHODS:
         cfg = UnlearnConfig(method=method, steps=3, rate=1e-3,
-                            fisher_noise_scale=1e-3, batch_size=16)
+                            fisher_noise_scale=1e-3)
         a = unlearn(model.clone(), split, train, cfg, SeededRng(9))
         b = unlearn(model.clone(), split, train, cfg, SeededRng(9))
         assert np.array_equal(flat_params(a), flat_params(b)), method
@@ -172,7 +172,7 @@ def test_fisher_scrubbing_hits_forget_set_harder():
     train = gen_blobs(rng.split("data-train"), 200, 2, 2, 2.0)
     split = split_delete(train, 0.15, rng.split("delete"), target_class=0)
     model = build_model([2, 64, 32, 2], 7)
-    train_with_cfg(model, train, np.arange(train.n), TrainCfg(2000, 1.0, 400),
+    train_with_cfg(model, train, np.arange(train.n), TrainCfg(2000, 1.0),
                    SeededRng(7).split("train"))
     acc_f0 = evaluate(model, train, split.forget_indices)[1]
     acc_r0 = evaluate(model, train, split.retain_indices)[1]
@@ -187,7 +187,7 @@ def test_fisher_scrubbing_hits_forget_set_harder():
 def test_finetune_zero_steps_is_identity(task):
     train, split, model = task
     m = model.clone()
-    unlearn_finetune(m, train, split.retain_indices, 0, 0.1, 32, SeededRng(0))
+    unlearn_finetune(m, train, split.retain_indices, 0, 0.1)
     assert np.array_equal(flat_params(m), flat_params(model))
 
 
@@ -196,18 +196,15 @@ def test_finetune_full_batch_descent_monotone(task):
     m = model.clone()
     losses = [evaluate(m, train, split.retain_indices)[0]]
     for _ in range(5):
-        unlearn_finetune(m, train, split.retain_indices, 1, 0.01,
-                         len(split.retain_indices), SeededRng(0))
+        unlearn_finetune(m, train, split.retain_indices, 1, 0.01)
         losses.append(evaluate(m, train, split.retain_indices)[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 def test_finetune_seeded(task):
     train, split, model = task
-    a = unlearn_finetune(model.clone(), train, split.retain_indices, 10, 0.05,
-                         16, SeededRng(5))
-    b = unlearn_finetune(model.clone(), train, split.retain_indices, 10, 0.05,
-                         16, SeededRng(5))
+    a = unlearn_finetune(model.clone(), train, split.retain_indices, 10, 0.05)
+    b = unlearn_finetune(model.clone(), train, split.retain_indices, 10, 0.05)
     assert np.array_equal(flat_params(a), flat_params(b))
 
 
@@ -221,7 +218,7 @@ def test_frozen_zero_documentation(task):
         m = pruned.clone()
         unlearn(m, split, train,
                 UnlearnConfig(method=method, steps=3, rate=1e-3,
-                              fisher_noise_scale=1e-3, batch_size=16),
+                              fisher_noise_scale=1e-3),
                 SeededRng(11))
         for w, mask in zip(m.weights, m.masks):
             assert np.all(w[mask == 0.0] == 0.0), method
@@ -249,12 +246,11 @@ def _digest_update(h, arrays):
 
 
 # SHA-256 over every gradient path on reference seed 0 at 60% sparsity:
-# the diagonal Fisher, the three non-noop unlearners (masked and dense,
-# minibatch with and without a reshuffle, full batch) and minibatch
-# training with its log. A change that moves these numbers must re-pin
-# them and say why.
+# the diagonal Fisher, the three non-noop unlearners (masked and dense)
+# and training with its log. A change that moves these numbers must
+# re-pin them and say why.
 GRADIENT_PATHS_SHA256 = (
-    "c3ab16e040d8c67df2b197cfd8a2c4bff43a02dcd4fe41d5c8e055b0f2204f57")
+    "64855f5ec3b67d51fa407dde3c628c82ba487491cfcc5c5b25fab6dc0dba7d77")
 
 
 def test_gradient_paths_pinned(ref_runs):
@@ -267,15 +263,13 @@ def test_gradient_paths_pinned(ref_runs):
             _digest_update(h, fisher.weights + fisher.biases)
     for method in ("fisher_forgetting", "gradient_ascent", "finetune"):
         for dense in (False, True):
-            for batch_size in (16, 64, 400):
-                cfg = UnlearnConfig(method=method, steps=7, rate=0.05,
-                                    fisher_noise_scale=1e-3,
-                                    batch_size=batch_size)
-                m = unlearn(pruned.clone(), split, data, cfg, SeededRng(0),
-                            dense=dense)
-                _digest_update(h, m.weights + m.biases)
+            cfg = UnlearnConfig(method=method, steps=7, rate=0.05,
+                                fisher_noise_scale=1e-3)
+            m = unlearn(pruned.clone(), split, data, cfg, SeededRng(0),
+                        dense=dense)
+            _digest_update(h, m.weights + m.biases)
     m = pruned.clone()
-    log = train_sgd(m, data, split.retain_indices, 3, 0.1, 64,
+    log = train_sgd(m, data, split.retain_indices, 3, 0.1,
                     SeededRng(0).split("pin"))
     _digest_update(h, m.weights + m.biases)
     h.update(repr(log.rows).encode())
