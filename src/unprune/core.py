@@ -243,10 +243,10 @@ def unprune(
 ) -> tuple[MaskedModel, UnpruneTrace]:
     """Run the full un-pruning loop in place; returns (model, trace).
 
-    The model must already be pruned. Unlearning runs with masks ignored
-    (all parameters trainable); the mask re-asserts after each grow step, and
-    a final one-shot prune (in ``mode`` and ``scope``) restores the original
-    sparsity. The trace's UA and TA are ``ua_ta``'s.
+    The model must already be pruned. Unlearning runs on the re-initialized
+    weights with every parameter trainable; the mask re-asserts after each
+    grow step, and a final one-shot prune (in ``mode`` and ``scope``)
+    restores the original sparsity. The trace's UA and TA are ``ua_ta``'s.
     """
     config.validate()
     topo = topology(mode, scope)
@@ -257,8 +257,7 @@ def unprune(
                 model, config.init_strategy, rng.split(f"reinit-{t}"),
                 config.random_init_std,
             )
-            unlearn(model, split, dataset, config.unlearn, rng.split(f"unlearn-{t}"),
-                    dense=True)
+            unlearn(model, split, dataset, config.unlearn, rng.split(f"unlearn-{t}"))
             grown = topo.grow(model, config.grow_per_iter)
             apply_mask(model)
             ua, ta = ua_ta(model, dataset, split, test_data)

@@ -1,10 +1,12 @@
 """Masked multilayer perceptron: weights, binary masks, and the saved init.
 
-The effective parameters at inference are always weights * masks. Gradients
-of the masked loss are taken with respect to the raw weights, so a masked-out
-weight receives exactly zero gradient (the chain rule through the elementwise
-product) -- which is precisely why plain unlearning cannot move a pruned
-topology and re-initialization is needed first.
+A pruned weight is a stored 0: ``prune_*`` and ``apply_mask`` zero every
+weight whose mask bit is 0, and ``load_snapshot`` rejects a file that
+breaks the rule. The forward and backward passes read the stored weights,
+and gradients are of the stored weights, pruned entries included. Training
+re-applies the mask after every step, so it keeps a pruned weight at 0 and
+never moves the topology; the un-pruning loop re-initializes the pruned
+weights before it unlearns and re-asserts the mask after it grows.
 
 Biases are never masked; sparsity accounting covers weight entries only.
 """
@@ -128,10 +130,9 @@ def init_model(specs: list[LayerSpec], rng: SeededRng) -> MaskedModel:
 
 
 def _forward_trace(
-    model: MaskedModel, inputs: np.ndarray, masked: bool
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Returns (per-layer activations incl. input, per-layer pre-activations,
-    per-layer weights as applied: ``w * m`` when masked, else ``w``)."""
+    model: MaskedModel, inputs: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Returns (per-layer activations incl. input, per-layer pre-activations)."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layers[0].in_dim:
         raise ShapeError(
@@ -139,66 +140,59 @@ def _forward_trace(
         )
     acts = [x]
     pre = []
-    applied = []
-    for spec, w, b, m in zip(model.layers, model.weights, model.biases, model.masks):
-        w_eff = w * m if masked else w
-        applied.append(w_eff)
-        z = matmul(acts[-1], w_eff.T)
+    for spec, w, b in zip(model.layers, model.weights, model.biases):
+        z = matmul(acts[-1], w.T)
         z += b
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
-    return acts, pre, applied
+    return acts, pre
 
 
-def forward(model: MaskedModel, inputs: np.ndarray, masked: bool = True) -> np.ndarray:
-    """Logits of the (masked) model for a batch of inputs."""
-    acts, _, _ = _forward_trace(model, inputs, masked)
-    return acts[-1]
+def forward(model: MaskedModel, inputs: np.ndarray) -> np.ndarray:
+    """Logits of the model for a batch of inputs."""
+    return _forward_trace(model, inputs)[0][-1]
 
 
 def backward(
     model: MaskedModel,
     inputs: np.ndarray,
     labels: np.ndarray,
-    masked: bool = True,
 ) -> tuple[float, GradientSet]:
-    """Mean cross-entropy loss and its gradient w.r.t. raw weights and biases.
+    """Mean cross-entropy loss and its gradient w.r.t. the stored weights
+    and biases, pruned entries included.
 
-    With ``masked=True`` the gradient of every masked-out weight is exactly 0.
-    ``masked=False`` treats the model as dense (mask ignored in both passes).
     A step loop uses a ``GradientStep``, which runs the same functions.
     """
-    trace = _forward_trace(model, inputs, masked)
+    trace = _forward_trace(model, inputs)
     loss, delta = softmax_cross_entropy(trace[0][-1], labels)
-    return loss, _backward_from_trace(model, trace, delta, masked)
+    return loss, _backward_from_trace(model, trace, delta)
 
 
-def _backward_from_trace(model: MaskedModel, trace, delta: np.ndarray,
-                         masked: bool) -> GradientSet:
+def _backward_from_trace(model: MaskedModel, trace,
+                         delta: np.ndarray) -> GradientSet:
     """Parameter gradients from a ``_forward_trace`` and the logit gradient."""
-    acts, pre, applied = trace
+    acts, pre = trace
     g_w = [None] * len(model.layers)
     g_b = [None] * len(model.layers)
-    for l, d in _layer_deltas(model, pre, applied, delta):
+    for l, d in _layer_deltas(model, pre, delta):
         g_w[l] = matmul(d.T, acts[l])
-        if masked:
-            g_w[l] *= model.masks[l]
         g_b[l] = d.sum(axis=0)
     return GradientSet(weights=g_w, biases=g_b)
 
 
 def _layer_deltas(model: MaskedModel, pre: list[np.ndarray],
-                  applied: list[np.ndarray], delta: np.ndarray):
+                  delta: np.ndarray):
     """Yield ``(l, delta)`` from the last layer down: the ReLU recursion.
 
     ``delta`` is the loss gradient at layer ``l``'s pre-activation; the caller
     uses it before the next is made, so matmuls run dW(L-1), dX(L-1), ...
-    ``pre`` and ``applied`` come from the ``_forward_trace`` of the batch.
+    ``pre`` comes from the ``_forward_trace`` of the batch, and the recursion
+    reads the live ``model.weights``: they must not change between the two.
     """
     for l in range(len(model.layers) - 1, -1, -1):
         yield l, delta
         if l > 0:
-            delta = matmul(delta, applied[l])
+            delta = matmul(delta, model.weights[l])
             if model.layers[l - 1].activation == "relu":
                 delta *= pre[l - 1] > 0.0
 
@@ -211,11 +205,12 @@ class GradientStep:
     ``forward``, ``loss_gradient`` and ``backward`` (or ``gradients``) on
     every step. They run the functions ``backward`` runs, so the bits are
     the same, but the loss is computed only when asked for, and a labels
-    array that repeats is checked once.
+    array that repeats is checked once. ``backward`` reads the live weights,
+    so nothing may change them between a step's ``forward`` and its
+    ``backward``; ``sgd_step`` runs after both.
     """
 
-    def __init__(self, masked: bool):
-        self.masked = masked
+    def __init__(self):
         self._trace = None
         self._delta = None
         self._labels = None
@@ -223,7 +218,7 @@ class GradientStep:
 
     def forward(self, model: MaskedModel, inputs: np.ndarray) -> np.ndarray:
         """The batch's logits; the trace is kept for ``backward``."""
-        self._trace = _forward_trace(model, inputs, self.masked)
+        self._trace = _forward_trace(model, inputs)
         return self._trace[0][-1]
 
     def loss_gradient(self, labels: np.ndarray, nll: bool = False):
@@ -242,7 +237,7 @@ class GradientStep:
 
     def backward(self, model: MaskedModel) -> GradientSet:
         """Parameter gradients of the last ``loss_gradient``."""
-        return _backward_from_trace(model, self._trace, self._delta, self.masked)
+        return _backward_from_trace(model, self._trace, self._delta)
 
     def gradients(self, model: MaskedModel, inputs: np.ndarray,
                   labels: np.ndarray) -> GradientSet:
@@ -322,7 +317,8 @@ def snapshot_header(path: str) -> dict[str, str]:
 
 
 def load_snapshot(path: str) -> MaskedModel:
-    """Read a ``save_snapshot`` file; any deviation raises ``FormatError``."""
+    """Read a ``save_snapshot`` file; any deviation raises ``FormatError``,
+    a nonzero weight where its mask is 0 included."""
     fields, blob = _read_header(path)
     for key in ("seed", "dims", "activations"):
         if key not in fields:
@@ -358,9 +354,11 @@ def load_snapshot(path: str) -> MaskedModel:
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after "
                           f"the last block")
-    for l, m in enumerate(masks):
+    for l, (w, m) in enumerate(zip(weights, masks)):
         if not ((m == 0.0) | (m == 1.0)).all():
             raise FormatError(f"{path}: layer {l} mask has entries outside {{0, 1}}")
+        if (w[m == 0.0] != 0.0).any():
+            raise FormatError(f"{path}: layer {l} has a nonzero pruned weight")
     return MaskedModel(
         layers=specs,
         weights=weights,

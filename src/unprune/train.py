@@ -1,10 +1,9 @@
-"""Plain full-batch gradient descent on the masked loss, plus accuracy
-evaluation.
+"""Plain full-batch gradient descent, plus accuracy evaluation.
 
 No minibatches, momentum, weight decay or schedules: the simplest
 optimizer keeps seed-for-seed comparisons between runs interpretable.
-Masks are re-applied after every step, so training never changes the
-topology.
+Masks are applied before the first step and re-applied after every step,
+so training never changes the topology.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ def train_sgd(
 ) -> TrainLog:
     """Full-batch gradient descent on the given rows; mutates the model.
 
-    Each epoch is one step on all rows in a seeded shuffle, the mask is
-    re-applied after every step, and a non-finite loss or product aborts
-    with an error naming the epoch.
+    Each epoch is one step on all rows in a seeded shuffle. The mask is
+    applied before the first step and re-applied after every step, so a
+    pruned weight is a stored 0 in every pass, and a non-finite loss or
+    product aborts with an error naming the epoch.
 
     Log row ``k`` is the (loss, accuracy) over ``indices`` of the model as
     epoch ``k`` left it. The step of epoch ``k + 1`` forward-passes every
@@ -69,8 +69,9 @@ def train_sgd(
         raise InputError("training index set is empty")
     if lr < 0:
         raise InputError(f"lr must be >= 0, got {lr}")
-    step = GradientStep(masked=True)
+    step = GradientStep()
     log = TrainLog()
+    apply_mask(model)
     with blas_scope():
         for epoch in range(epochs):
             perm = rng.permutation(len(indices))

@@ -9,9 +9,7 @@ Three desk-scale families plus a no-op ablation:
   * noop              -- identity, for ablations
 
 All methods consume and return the same model shape, so the un-pruning loop
-runs unmodified with any of them. With ``dense=False`` gradients flow only
-to parameters with mask 1 (masked-out entries stay exactly 0); ``dense=True``
-ignores masks entirely, which is what the loop uses after re-initialization.
+runs unmodified with any of them.
 """
 
 from __future__ import annotations
@@ -50,13 +48,13 @@ class UnlearnConfig:
 
 
 def _descend(model: MaskedModel, dataset: Dataset, rows: np.ndarray,
-             role: str, steps: int, rate: float, dense: bool) -> MaskedModel:
+             role: str, steps: int, rate: float) -> MaskedModel:
     """``steps`` full-batch ``sgd_step``s on the loss over ``rows``, in place."""
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise InputError(f"{role} row set is empty")
     x, y = dataset.inputs[rows], dataset.labels[rows]
-    step = GradientStep(masked=not dense)
+    step = GradientStep()
     with blas_scope():
         for _ in range(steps):
             sgd_step(model, step.gradients(model, x, y), rate)
@@ -69,17 +67,15 @@ def unlearn_gradient_ascent(
     forget_rows: np.ndarray,
     steps: int,
     rate: float,
-    dense: bool = False,
 ) -> MaskedModel:
     """Full-batch gradient ascent on the forget-set loss, in place."""
-    return _descend(model, dataset, forget_rows, "forget", steps, -rate, dense)
+    return _descend(model, dataset, forget_rows, "forget", steps, -rate)
 
 
 def fisher_diag(
     model: MaskedModel,
     dataset: Dataset,
     rows: np.ndarray,
-    dense: bool = False,
 ) -> GradientSet:
     """Diagonal empirical Fisher: mean over rows of squared per-sample grads.
 
@@ -92,17 +88,15 @@ def fisher_diag(
         raise InputError("fisher row set is empty")
     x = dataset.inputs[rows]
     y = dataset.labels[rows]
-    acts, pre, applied = _forward_trace(model, x, masked=not dense)
+    acts, pre = _forward_trace(model, x)
     # Per-sample gradient of the per-sample loss: no 1/batch factor.
     delta = softmax(acts[-1])
     delta[np.arange(len(rows)), y] -= 1.0
     n = float(len(rows))
     f_w = [None] * len(model.layers)
     f_b = [None] * len(model.layers)
-    for l, d in _layer_deltas(model, pre, applied, delta):
+    for l, d in _layer_deltas(model, pre, delta):
         f_w[l] = matmul((d ** 2).T, acts[l] ** 2) / n
-        if not dense:
-            f_w[l] *= model.masks[l]
         f_b[l] = (d ** 2).mean(axis=0)
     return GradientSet(weights=f_w, biases=f_b)
 
@@ -113,7 +107,6 @@ def unlearn_fisher_forgetting(
     dataset: Dataset,
     noise_scale: float,
     rng: SeededRng,
-    dense: bool = False,
 ) -> MaskedModel:
     """Scrub by Fisher-scaled Gaussian noise: theta_i += N(0, s^2/(F_ii+eps)).
 
@@ -124,13 +117,10 @@ def unlearn_fisher_forgetting(
         raise InputError(f"noise scale must be >= 0, got {noise_scale}")
     if noise_scale == 0:
         return model
-    fisher = fisher_diag(model, dataset, split.retain_indices, dense=dense)
+    fisher = fisher_diag(model, dataset, split.retain_indices)
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         std_w = noise_scale / np.sqrt(fisher.weights[l] + FISHER_EPS)
-        noise_w = rng.normal(w.size, 0.0, 1.0).reshape(w.shape) * std_w
-        if not dense:
-            noise_w *= model.masks[l]
-        w += noise_w
+        w += rng.normal(w.size, 0.0, 1.0).reshape(w.shape) * std_w
         std_b = noise_scale / np.sqrt(fisher.biases[l] + FISHER_EPS)
         b += rng.normal(b.size, 0.0, 1.0) * std_b
     return model
@@ -142,11 +132,10 @@ def unlearn_finetune(
     retain_rows: np.ndarray,
     steps: int,
     rate: float,
-    dense: bool = False,
 ) -> MaskedModel:
     """Full-batch descent on the retain-set loss, in place: the mirror of
     gradient ascent on the forget rows."""
-    return _descend(model, dataset, retain_rows, "retain", steps, rate, dense)
+    return _descend(model, dataset, retain_rows, "retain", steps, rate)
 
 
 def unlearn(
@@ -155,7 +144,6 @@ def unlearn(
     dataset: Dataset,
     config: UnlearnConfig,
     rng: SeededRng,
-    dense: bool = False,
 ) -> MaskedModel:
     """Dispatch to the configured method; deterministic under the given rng."""
     config.validate()
@@ -163,16 +151,15 @@ def unlearn(
         return model
     if config.method == "gradient_ascent":
         return unlearn_gradient_ascent(
-            model, dataset, split.forget_indices, config.steps, config.rate, dense
+            model, dataset, split.forget_indices, config.steps, config.rate
         )
     if config.method == "fisher_forgetting":
         return unlearn_fisher_forgetting(
             model, split, dataset, config.fisher_noise_scale,
-            rng.split("fisher-noise"), dense,
+            rng.split("fisher-noise"),
         )
     if config.method == "finetune":
         return unlearn_finetune(
-            model, dataset, split.retain_indices, config.steps, config.rate,
-            dense,
+            model, dataset, split.retain_indices, config.steps, config.rate
         )
     raise ConfigError(f"unknown unlearning method {config.method!r}")

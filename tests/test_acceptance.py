@@ -66,7 +66,8 @@ def test_criterion_01_metric_identities():
 
 
 def test_criterion_02_gradient_fidelity():
-    """Analytic masked gradients match central differences, 100 random configs."""
+    """Analytic gradients of pruned models match central differences, 100
+    random configs."""
     t0 = time.perf_counter()
     step = 1e-5
     worst = 0.0
@@ -90,7 +91,7 @@ def test_criterion_02_gradient_fidelity():
                 b[...] = data_rng.normal(b.size, 0.0, 0.1)
             x = data_rng.normal(4 * 3).reshape(4, 3)
             labels = data_rng.integers(0, dims[-1], 4)
-            _, pre, _ = _forward_trace(model, x, True)
+            _, pre = _forward_trace(model, x)
             if min(float(np.abs(z).min()) for z in pre) >= 1e-3:
                 break
         else:

@@ -377,10 +377,10 @@ def test_failed_cell_records_its_error_type(tmp_path, monkeypatch):
     # Finetune raises inside core.unprune's BLAS scope; the cell becomes an
     # error row with the exception's type, the other cells still write
     # their rows, and the BLAS thread count is left as it was found.
-    def failing_unlearn(model, split, dataset, config, rng, dense=False):
+    def failing_unlearn(model, split, dataset, config, rng):
         if config.method == "finetune":
             raise NumericError("diverged on purpose")
-        return unlearn(model, split, dataset, config, rng, dense)
+        return unlearn(model, split, dataset, config, rng)
 
     monkeypatch.setattr(core_module, "unlearn", failing_unlearn)
     get_threads, _ = numeric._BLAS_THREADS

@@ -12,7 +12,7 @@ from unprune.core import (
 )
 from unprune.data import gen_blobs, split_delete
 from unprune.errors import ConfigError, InputError
-from unprune.experiment import cell_unprune
+from unprune.experiment import cell_oracle, cell_unprune, model_cache_dir
 from unprune.model import init_model, mlp_specs
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
@@ -233,6 +233,32 @@ def test_mask_change_capability(ref_cfg, ref_runs):
     cell_unprune(ref_cfg, 0, sparsity, "gradient_ascent", model,
                  run.train_data, run.test_data, run.split)
     assert not np.array_equal(model.flat_masks(), pruned.flat_masks())
+
+
+@pytest.mark.parametrize("task", ["ref", "struct"])
+def test_pruned_weights_are_stored_zeros(request, task):
+    # The forward pass reads the stored weights, so every model the grid
+    # scores must hold a 0 wherever its mask is 0.
+    cfg = request.getfixturevalue(f"{task}_cfg")
+    run = request.getfixturevalue(f"{task}_runs")[0]
+    cache_dir = model_cache_dir(str(request.getfixturevalue(f"{task}_grid")[1]))
+    models = {}
+    for sparsity, pruned in run.pruned.items():
+        models[f"pruned {sparsity}"] = pruned
+        oracle, _, hit = cell_oracle(cfg, 0, sparsity, run.train_data,
+                                     run.split, cache_dir)
+        assert hit, f"oracle {sparsity} not cached"
+        models[f"oracle {sparsity}"] = oracle
+        for method in cfg.methods:
+            model = pruned.clone()
+            cell_unprune(cfg, 0, sparsity, method, model, run.train_data,
+                         run.test_data, run.split)
+            models[f"{method} {sparsity}"] = model
+    assert len(models) == len(cfg.sparsities) * (2 + len(cfg.methods))
+    for name, model in models.items():
+        assert sparsity_of(model).sparsity > 0.0, name
+        for l, (w, m) in enumerate(zip(model.weights, model.masks)):
+            assert np.all(w[m == 0.0] == 0.0), (name, l)
 
 
 @given(st.integers(0, 10_000))

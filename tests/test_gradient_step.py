@@ -15,7 +15,7 @@ import pytest
 
 from unprune.data import gen_blobs
 from unprune.errors import NumericError
-from unprune.model import GradientStep, backward, init_model, mlp_specs
+from unprune.model import GradientStep, apply_mask, backward, init_model, mlp_specs
 from unprune.numeric import SeededRng, softmax
 from unprune.oracle import build_model
 from unprune.train import sgd_step, train_sgd
@@ -29,7 +29,7 @@ def _same_bits(expected, got):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def _model_with_signed_zeros(classes, masked, seed):
+def _model_with_signed_zeros(classes, pruned, seed):
     model = init_model(mlp_specs([3, 8, 6, classes]), SeededRng(seed).split("init"))
     rng = SeededRng(seed).split("edit")
     for w, b, m in zip(model.weights, model.biases, model.masks):
@@ -38,21 +38,22 @@ def _model_with_signed_zeros(classes, masked, seed):
         flat[picks[:2]] = 0.0
         flat[picks[2:]] = -0.0
         b[::2] = -0.0
-        if masked:
+        if pruned:
             m[rng.uniform(0.0, 1.0, m.size).reshape(m.shape) < 0.3] = 0.0
     # Dead hidden units: their ReLU derivative turns each delta they receive
     # into a zero with that delta's sign.
     for l, unit in ((0, 1), (0, 4), (0, 6), (1, 2), (1, 5)):
         model.weights[l][unit] = -0.0
         model.biases[l][unit] = -1.0
-    return model
+    # A pruned weight is a stored 0, signed as the weight it replaced.
+    return apply_mask(model)
 
 
-@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("pruned", [True, False])
 @pytest.mark.parametrize("rows", [1, 7, 40, 360])
 @pytest.mark.parametrize("classes", [2, 3, 10])
-def test_gradient_step_matches_backward_bit_for_bit(masked, rows, classes):
-    model = _model_with_signed_zeros(classes, masked, seed=rows * 10 + classes)
+def test_gradient_step_matches_backward_bit_for_bit(pruned, rows, classes):
+    model = _model_with_signed_zeros(classes, pruned, seed=rows * 10 + classes)
     rng = SeededRng(rows).split("batch")
     x = rng.normal(rows * 3).reshape(rows, 3)
     y = rng.permutation(rows) % classes
@@ -60,10 +61,10 @@ def test_gradient_step_matches_backward_bit_for_bit(masked, rows, classes):
     # The full batch twice (labels checked once), then a smaller batch.
     batches = [(x, y), (x, y), (x[:half], y[:half])]
     ref, got = model.clone(), model.clone()
-    step = GradientStep(masked)
+    step = GradientStep()
     rate = 0.5
     for bx, by in batches:
-        _, g_ref = backward(ref, bx, by, masked=masked)
+        _, g_ref = backward(ref, bx, by)
         g_step = step.gradients(got, bx, by)
         _same_bits(g_ref.weights + g_ref.biases, g_step.weights + g_step.biases)
         for p, g in zip(ref.weights + ref.biases, g_ref.weights + g_ref.biases):

@@ -55,16 +55,11 @@ def test_forward_all_zero_mask_yields_bias():
     model = small_model()
     for m in model.masks:
         m[...] = 0.0
+    apply_mask(model)
     model.biases[-1][...] = np.array([0.5, -1.0, 2.0])
     x = SeededRng(1).normal(4 * 3).reshape(4, 3)
     logits = forward(model, x)
     assert np.array_equal(logits, np.tile([0.5, -1.0, 2.0], (4, 1)))
-
-
-def test_forward_identity_mask_matches_unmasked():
-    model = small_model()
-    x = SeededRng(2).normal(6 * 3).reshape(6, 3)
-    assert np.array_equal(forward(model, x), forward(model, x, masked=False))
 
 
 def test_flipping_mask_bit_changes_logits_iff_weight_live():
@@ -72,14 +67,14 @@ def test_flipping_mask_bit_changes_logits_iff_weight_live():
     x = np.abs(SeededRng(3).normal(5 * 3).reshape(5, 3)) + 0.5  # active paths
     base = forward(model, x)
     # Nonzero weight on an active path: output must change.
-    model.masks[0][0, 0] = 0.0
-    assert not np.array_equal(forward(model, x), base)
-    model.masks[0][0, 0] = 1.0
+    pruned = model.clone()
+    pruned.masks[0][0, 0] = 0.0
+    assert not np.array_equal(forward(apply_mask(pruned), x), base)
     # Zero weight: flipping its mask bit cannot change anything.
     model.weights[1][2, 3] = 0.0
     with_mask = forward(model, x)
     model.masks[1][2, 3] = 0.0
-    assert np.array_equal(forward(model, x), with_mask)
+    assert np.array_equal(forward(apply_mask(model), x), with_mask)
 
 
 def test_forward_shape_error():
@@ -89,7 +84,7 @@ def test_forward_shape_error():
 
 
 def finite_difference_grads(model, x, labels, step=1e-5):
-    """Independent oracle: central differences on the masked loss."""
+    """Independent oracle: central differences on the loss."""
     from unprune.numeric import softmax_cross_entropy
 
     def loss_at():
@@ -135,18 +130,7 @@ def test_backward_matches_finite_differences():
         assert err < 1e-4
 
 
-def test_backward_masked_entries_zero_gradient():
-    # The failure mode motivating re-initialization: pruned weights are frozen.
-    model = small_model(9)
-    prune_magnitude(model, 0.5)
-    x = SeededRng(10).normal(6 * 3).reshape(6, 3)
-    labels = np.array([0, 1, 2, 0, 1, 2])
-    _, grads = backward(model, x, labels)
-    for g, m in zip(grads.weights, model.masks):
-        assert np.all(g[m == 0.0] == 0.0)
-
-
-def test_backward_dense_ignores_masks():
+def test_reinitialized_pruned_model_gets_gradient_at_pruned_entries():
     model = small_model(9)
     prune_magnitude(model, 0.5)
     from unprune.core import reinit_pruned
@@ -154,11 +138,11 @@ def test_backward_dense_ignores_masks():
     reinit_pruned(model, "original", SeededRng(0))
     x = SeededRng(10).normal(6 * 3).reshape(6, 3)
     labels = np.array([0, 1, 2, 0, 1, 2])
-    _, grads = backward(model, x, labels, masked=False)
-    masked_grads = np.concatenate(
+    _, grads = backward(model, x, labels)
+    pruned_grads = np.concatenate(
         [g[m == 0.0].ravel() for g, m in zip(grads.weights, model.masks)]
     )
-    assert np.any(masked_grads != 0.0)
+    assert np.any(pruned_grads != 0.0)
 
 
 def test_backward_duplicated_batch_same_mean_gradient():
@@ -192,20 +176,10 @@ def test_apply_mask_idempotent_and_identity():
         assert np.array_equal(w, o)
 
 
-def test_mask_dominance():
-    model = small_model(14)
-    prune_magnitude(model, 0.5)
-    # Perturb raw weights at masked positions; forward must not care.
-    shadow = model.clone()
-    for w, m in zip(shadow.weights, shadow.masks):
-        w[m == 0.0] = 123.456
-    x = SeededRng(15).normal(8 * 3).reshape(8, 3)
-    assert np.array_equal(forward(shadow, x), forward(apply_mask(shadow), x))
-
-
 def test_snapshot_round_trip(tmp_path):
     model = small_model(16)
     prune_magnitude(model, 0.35)
+    model.weights[0][model.masks[0] == 0.0] = -0.0  # a pruned weight is +-0
     model.biases[0][...] = SeededRng(17).normal(model.biases[0].size)
     path = str(tmp_path / "model.bin")
     save_snapshot(model, path)
@@ -216,6 +190,7 @@ def test_snapshot_round_trip(tmp_path):
     ]
     for a, b in zip(loaded.weights, model.weights):
         assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
     for a, b in zip(loaded.masks, model.masks):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.init_snapshot, model.init_snapshot):
@@ -276,6 +251,19 @@ def test_snapshot_non_binary_mask_rejected(tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("value", [1e-300, -0.25, np.nan])
+def test_snapshot_nonzero_pruned_weight_rejected(tmp_path, value):
+    # A pruned weight is a stored 0; the forward pass does not re-mask it.
+    model = small_model(19, dims=(2, 4, 2))
+    prune_magnitude(model, 0.5)
+    model.masks[1][1, 2] = 0.0
+    model.weights[1][1, 2] = value
+    path = str(tmp_path / "model.bin")
+    save_snapshot(model, path)
+    with pytest.raises(FormatError, match="layer 1 has a nonzero pruned weight"):
+        load_snapshot(path)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -292,5 +280,6 @@ def test_snapshot_fuzz_model_or_format_error(tmp_path, data):
     except FormatError:
         return
     assert len(model.weights) == len(model.layers) >= 1
-    for m in model.masks:
+    for w, m in zip(model.weights, model.masks):
         assert np.isin(m, (0.0, 1.0)).all()
+        assert (w[m == 0.0] == 0.0).all()

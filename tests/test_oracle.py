@@ -13,7 +13,13 @@ from unprune.data import gen_blobs, split_delete
 from unprune.errors import InputError
 from unprune.experiment import build_data, prepare_seed
 from unprune.metrics import MaskPair, iou, kl_masked_weights
-from unprune.model import load_snapshot, save_snapshot, snapshot_header
+from unprune.model import (
+    backward,
+    forward,
+    load_snapshot,
+    save_snapshot,
+    snapshot_header,
+)
 from unprune.numeric import SeededRng
 from unprune.oracle import (
     build_model,
@@ -210,6 +216,8 @@ def test_benchmark_positional_reads_hold():
     # perfbench reads these arguments by position: a moved parameter would
     # feed it a wrong figure, and the benchmark would still pass.
     assert _params(train_sgd).index("epochs") == 3
+    assert _params(forward).index("inputs") == 1
+    assert _params(backward).index("inputs") == 1
     assert _params(unlearn).index("config") == 3
     assert _params(unprune).index("config") == 3
     assert _params(unprune).index("mode") == 5
@@ -227,18 +235,38 @@ def test_rewind_and_imp_slots_take_only_none_and_one(small_task):
             cached_oracle(*args, rewind, rounds)
 
 
+def _truncated(raw, model):
+    return raw[:-9]
+
+
+def _nonzero_pruned_weight(raw, model):
+    """``model``'s snapshot bytes ``raw`` with one pruned weight nonzero:
+    the first layer-0 weight whose mask is 0 stored as 0.5, or, in an
+    unpruned model, the mask bit of the first layer-0 weight set to 0."""
+    blocks = raw.index(b"end-header\n") + len(b"end-header\n")
+    out_dim, in_dim = model.weights[0].shape
+    holes = np.flatnonzero(model.masks[0].ravel() == 0.0)
+    if len(holes):
+        at, value = blocks + 8 * holes[0], 0.5
+    else:
+        assert model.weights[0][0, 0] != 0.0
+        at, value = blocks + 8 * (out_dim * in_dim + out_dim), 0.0
+    return raw[:at] + np.float64(value).astype("<f8").tobytes() + raw[at + 8:]
+
+
 def test_corrupt_cache_file_is_retrained(tmp_path, entry):
     lookup, build, name, files = entry
     cache = tmp_path / "cache"
     lookup(str(cache))
     path = cache / name
-    path.write_bytes(path.read_bytes()[:-9])  # a truncated snapshot
-    model, _, hit = lookup(str(cache))
-    assert not hit
     fresh = build()
-    for got in (model, load_snapshot(str(path))):
-        _same_model(got, fresh)
-    assert sorted(os.listdir(cache)) == files
+    for corrupt in (_truncated, _nonzero_pruned_weight):
+        path.write_bytes(corrupt(path.read_bytes(), fresh))
+        model, _, hit = lookup(str(cache))
+        assert not hit, corrupt.__name__
+        for got in (model, load_snapshot(str(path))):
+            _same_model(got, fresh)
+        assert sorted(os.listdir(cache)) == files
 
 
 def test_entry_without_stored_wall_is_rebuilt(tmp_path, entry):

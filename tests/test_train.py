@@ -48,6 +48,23 @@ def test_masked_entries_stay_zero_through_training():
         assert np.all(w[m == 0.0] == 0.0)
 
 
+def test_nonzero_pruned_weights_are_zeroed_before_the_first_step():
+    # A model handed over with nonzero pruned weights trains as its
+    # mask-applied copy does: the first pass already reads stored zeros.
+    data = gen_blobs(SeededRng(3), 40, 2, 2, 1.0)
+    model = build_model([2, 12, 2], 3)
+    prune_magnitude(model, 0.5)
+    shadow = model.clone()
+    for w, m in zip(shadow.weights, shadow.masks):
+        w[m == 0.0] = 123.456
+    logs = [train_sgd(m, data, np.arange(data.n), 10, 0.2, SeededRng(4)).rows
+            for m in (model, shadow)]
+    assert logs[0] == logs[1]
+    for a, b in zip(model.weights + model.biases,
+                    shadow.weights + shadow.biases):
+        assert np.array_equal(a, b)
+
+
 def test_frozen_topology_sparsity_preserved():
     data = gen_blobs(SeededRng(5), 40, 2, 2, 1.0)
     model = build_model([2, 12, 2], 5)
