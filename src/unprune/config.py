@@ -9,6 +9,7 @@ nested tables like ``[unlearn.gradient_ascent]``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from .core import UnpruneConfig, topology
@@ -66,6 +67,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.images and self.labels):
             raise ConfigError("idx datasets need images= and labels= paths")
+        if self.train.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.train.epochs}")
+        if not (math.isfinite(self.train.lr) and self.train.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.train.lr}")
         topology(self.prune_mode, self.scope)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")

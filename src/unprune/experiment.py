@@ -75,7 +75,11 @@ class ExperimentReport:
 
 def build_data(cfg: ExperimentConfig, seed: int
                ) -> tuple[Dataset, Dataset | None, DeletionSplit]:
-    """Deterministic (train, test, split) triple for one seed."""
+    """Deterministic (train, test, split) triple for one seed.
+
+    Data whose width is not ``[dataset] dim``, or with a label outside
+    ``[dataset] classes``, raises ``ConfigError`` before any model is built.
+    """
     root = SeededRng(seed)
     if cfg.dataset_kind == "blobs":
         train = gen_blobs(root.split("data-train"), cfg.n_per_class, cfg.classes,
@@ -86,6 +90,15 @@ def build_data(cfg: ExperimentConfig, seed: int
         train = load_idx(cfg.images, cfg.labels, name="idx-train")
         test = (load_idx(cfg.test_images, cfg.test_labels, name="idx-test")
                 if cfg.test_images else None)
+    for data in (train, test):
+        if data is None:
+            continue
+        if data.dim != cfg.dim:
+            raise ConfigError(f"[dataset] dim is {cfg.dim}, but the {data.name} "
+                              f"inputs have {data.dim} columns")
+        if data.labels.max() >= cfg.classes:
+            raise ConfigError(f"[dataset] classes is {cfg.classes}, but the "
+                              f"{data.name} labels reach {data.labels.max()}")
     split = split_delete(train, cfg.delete_ratio, root.split("delete"),
                          cfg.target_class)
     return train, test, split

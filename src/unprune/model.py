@@ -13,18 +13,12 @@ Biases are never masked; sparsity accounting covers weight entries only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InputError, ShapeError
-from .numeric import (
-    SeededRng,
-    _cross_entropy_rows,
-    _true_class_index,
-    matmul,
-    softmax_cross_entropy,
-)
+from .numeric import SeededRng, matmul, softmax_cross_entropy
 
 ACTIVATIONS = ("relu", "none")
 
@@ -159,10 +153,7 @@ def backward(
     labels: np.ndarray,
 ) -> tuple[float, GradientSet]:
     """Mean cross-entropy loss and its gradient w.r.t. the stored weights
-    and biases, pruned entries included.
-
-    A step loop uses a ``GradientStep``, which runs the same functions.
-    """
+    and biases, pruned entries included."""
     trace = _forward_trace(model, inputs)
     loss, delta = softmax_cross_entropy(trace[0][-1], labels)
     return loss, _backward_from_trace(model, trace, delta)
@@ -197,56 +188,6 @@ def _layer_deltas(model: MaskedModel, pre: list[np.ndarray],
                 delta *= pre[l - 1] > 0.0
 
 
-class GradientStep:
-    """``backward`` for a step loop, split into its forward pass, loss
-    gradient and backward pass.
-
-    A step loop (one training run, one unlearning run) makes one and calls
-    ``forward``, ``loss_gradient`` and ``backward`` (or ``gradients``) on
-    every step. They run the functions ``backward`` runs, so the bits are
-    the same, but the loss is computed only when asked for, and a labels
-    array that repeats is checked once. ``backward`` reads the live weights,
-    so nothing may change them between a step's ``forward`` and its
-    ``backward``; ``sgd_step`` runs after both.
-    """
-
-    def __init__(self):
-        self._trace = None
-        self._delta = None
-        self._labels = None
-        self._true_index = None
-
-    def forward(self, model: MaskedModel, inputs: np.ndarray) -> np.ndarray:
-        """The batch's logits; the trace is kept for ``backward``."""
-        self._trace = _forward_trace(model, inputs)
-        return self._trace[0][-1]
-
-    def loss_gradient(self, labels: np.ndarray, nll: bool = False):
-        """The logit gradient of the last forward batch's mean loss.
-
-        Returns the per-row negative log-likelihoods with ``nll``, else None.
-        ``labels`` are checked once per array object: a step loop that
-        passes the same batch again does not check it again.
-        """
-        logits = self._trace[0][-1]
-        if labels is not self._labels or len(self._true_index) != len(logits):
-            self._true_index = _true_class_index(labels, *logits.shape)
-            self._labels = labels
-        rows_nll, self._delta = _cross_entropy_rows(logits, self._true_index, nll)
-        return rows_nll
-
-    def backward(self, model: MaskedModel) -> GradientSet:
-        """Parameter gradients of the last ``loss_gradient``."""
-        return _backward_from_trace(model, self._trace, self._delta)
-
-    def gradients(self, model: MaskedModel, inputs: np.ndarray,
-                  labels: np.ndarray) -> GradientSet:
-        """One batch's forward, loss gradient and backward."""
-        self.forward(model, inputs)
-        self.loss_gradient(labels)
-        return self.backward(model)
-
-
 def apply_mask(model: MaskedModel) -> MaskedModel:
     """Hard-zero the weights at masked positions, in place."""
     for w, m in zip(model.weights, model.masks):
@@ -261,10 +202,15 @@ def save_snapshot(model: MaskedModel, path: str,
     Header lines are ``key=value``; blocks follow ``end-header`` in layer
     order, little-endian float64, one weights/bias/mask/init quadruple per
     layer (weights and init row-major). ``extra`` appends header lines that
-    ``load_snapshot`` skips and ``snapshot_header`` returns.
+    ``load_snapshot`` skips and ``snapshot_header`` returns. A model that
+    ``load_snapshot`` would reject (a mask entry outside {0, 1}, a nonzero
+    pruned weight) raises ``InputError`` before the file is opened.
     """
     from .prune import sparsity_of  # local import to avoid a cycle
 
+    fault = _mask_fault(model.weights, model.masks)
+    if fault:
+        raise InputError(f"cannot save {path}: {fault}")
     header = [
         SNAPSHOT_MAGIC,
         f"seed={model.seed}",
@@ -284,6 +230,17 @@ def save_snapshot(model: MaskedModel, path: str,
             fh.write(b.astype("<f8").tobytes())
             fh.write(m.astype("<f8").tobytes())
             fh.write(s.astype("<f8").tobytes())
+
+
+def _mask_fault(weights: list[np.ndarray], masks: list[np.ndarray]) -> str:
+    """How the first bad layer breaks the rule that a mask is binary and a
+    pruned weight a stored 0, or "" if no layer does."""
+    for l, (w, m) in enumerate(zip(weights, masks)):
+        if not ((m == 0.0) | (m == 1.0)).all():
+            return f"layer {l} mask has entries outside {{0, 1}}"
+        if (w[m == 0.0] != 0.0).any():
+            return f"layer {l} has a nonzero pruned weight"
+    return ""
 
 
 def _header_uint(text: str, key: str, path: str) -> int:
@@ -354,11 +311,9 @@ def load_snapshot(path: str) -> MaskedModel:
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after "
                           f"the last block")
-    for l, (w, m) in enumerate(zip(weights, masks)):
-        if not ((m == 0.0) | (m == 1.0)).all():
-            raise FormatError(f"{path}: layer {l} mask has entries outside {{0, 1}}")
-        if (w[m == 0.0] != 0.0).any():
-            raise FormatError(f"{path}: layer {l} has a nonzero pruned weight")
+    fault = _mask_fault(weights, masks)
+    if fault:
+        raise FormatError(f"{path}: {fault}")
     return MaskedModel(
         layers=specs,
         weights=weights,

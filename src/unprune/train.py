@@ -15,9 +15,11 @@ import numpy as np
 
 from .data import Dataset, write_csv
 from .errors import InputError, NumericError
-from .model import GradientSet, GradientStep, MaskedModel, apply_mask, forward
+from .model import (GradientSet, MaskedModel, _backward_from_trace,
+                    _forward_trace, apply_mask, forward)
 from .model import backward  # noqa: F401  (perfbench wraps unprune.train.backward)
-from .numeric import SeededRng, _mean_loss, blas_scope, softmax_cross_entropy
+from .numeric import (SeededRng, _cross_entropy_rows, _mean_loss,
+                      _true_class_index, blas_scope, softmax_cross_entropy)
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ def train_sgd(
         raise InputError("training index set is empty")
     if lr < 0:
         raise InputError(f"lr must be >= 0, got {lr}")
-    step = GradientStep()
     log = TrainLog()
     apply_mask(model)
     with blas_scope():
@@ -79,8 +80,10 @@ def train_sgd(
             x, y = dataset.inputs[order], dataset.labels[order]
             with _diverged_at(max(epoch - 1, 0)):
                 # This pass sees the model as the previous epoch left it.
-                logits = step.forward(model, x)
-                nll = step.loss_gradient(y, nll=epoch > 0)
+                trace = _forward_trace(model, x)
+                logits = trace[0][-1]
+                nll, delta = _cross_entropy_rows(
+                    logits, _true_class_index(y, *logits.shape), epoch > 0)
                 if epoch > 0:
                     # evaluate sums the per-row losses in `indices` order.
                     by_index = np.empty_like(nll)
@@ -90,7 +93,7 @@ def train_sgd(
                 accuracy = float((np.argmax(logits, axis=1) == y).mean())
                 log.record(epoch - 1, "train", loss, accuracy)
             with _diverged_at(epoch):
-                sgd_step(model, step.backward(model), lr)
+                sgd_step(model, _backward_from_trace(model, trace, delta), lr)
                 apply_mask(model)
                 if epoch == epochs - 1:
                     log.record(epoch, "train",

@@ -20,8 +20,10 @@ import numpy as np
 
 from .data import Dataset, DeletionSplit
 from .errors import ConfigError, InputError
-from .model import GradientSet, GradientStep, MaskedModel, _forward_trace, _layer_deltas
-from .numeric import SeededRng, blas_scope, matmul, softmax
+from .model import (GradientSet, MaskedModel, _backward_from_trace,
+                    _forward_trace, _layer_deltas)
+from .numeric import (SeededRng, _cross_entropy_rows, _true_class_index,
+                      blas_scope, matmul, softmax)
 from .train import sgd_step
 
 METHODS = ("noop", "gradient_ascent", "fisher_forgetting", "finetune")
@@ -49,15 +51,20 @@ class UnlearnConfig:
 
 def _descend(model: MaskedModel, dataset: Dataset, rows: np.ndarray,
              role: str, steps: int, rate: float) -> MaskedModel:
-    """``steps`` full-batch ``sgd_step``s on the loss over ``rows``, in place."""
+    """``steps`` full-batch ``sgd_step``s on the loss over ``rows``, in place.
+
+    The batch is the same every step, so its labels are checked once.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise InputError(f"{role} row set is empty")
     x, y = dataset.inputs[rows], dataset.labels[rows]
-    step = GradientStep()
+    true_index = _true_class_index(y, len(rows), model.layers[-1].out_dim)
     with blas_scope():
         for _ in range(steps):
-            sgd_step(model, step.gradients(model, x, y), rate)
+            trace = _forward_trace(model, x)
+            _, delta = _cross_entropy_rows(trace[0][-1], true_index, nll=False)
+            sgd_step(model, _backward_from_trace(model, trace, delta), rate)
     return model
 
 

@@ -20,6 +20,7 @@ from unprune.config import (
     parse_config,
     parse_config_text,
 )
+from unprune.data import Dataset, write_idx
 from unprune.errors import ConfigError, NumericError
 from unprune.experiment import (
     CellRow,
@@ -36,6 +37,7 @@ from unprune.experiment import (
     run_experiment,
 )
 from unprune.model import save_snapshot, snapshot_header
+from unprune.numeric import SeededRng
 from unprune.oracle import build_model, dense_key
 from unprune.train import TrainCfg
 from unprune.unlearn import METHODS, UnlearnConfig, unlearn
@@ -543,17 +545,22 @@ def test_cli_sparsity_outside_unit_interval_rejected_before_work(
 
 
 # (TINY_CONFIG line, its replacement, the error): each cell of such a
-# config cannot run. 0.3 x 2 iterations underflows the 0.5 sparsity.
+# config cannot run. 0.3 x 2 iterations underflows the 0.5 sparsity; with
+# no epoch the grid would score untrained init weights.
 BAD_UNPRUNE = [
     ("iterations = 2", "iterations = 0", "iterations must be >= 1"),
     ("grow_per_iter = 0.05", "grow_per_iter = 0.3", "sparsity underflow"),
     ("iterations = 2", "iterations = 2\nrandom_init_std = -1",
      "random_init_std must be >= 0"),
+    ("epochs = 40", "epochs = 0", "epochs must be >= 1"),
+    ("lr = 0.3", "lr = -1.0", "lr must be finite and >= 0"),
+    ("lr = 0.3", "lr = nan", "lr must be finite and >= 0"),
 ]
 
 
 @pytest.mark.parametrize("old, new, error", BAD_UNPRUNE,
-                         ids=["iterations", "underflow", "random_init_std"])
+                         ids=["iterations", "underflow", "random_init_std",
+                              "epochs", "lr", "lr_nan"])
 def test_bad_unprune_settings_rejected_before_training(
         tmp_path, monkeypatch, capsys, old, new, error):
     text = TINY_CONFIG.replace(old, new)
@@ -568,6 +575,33 @@ def test_bad_unprune_settings_rejected_before_training(
                  str(tmp_path / "o")]) == 1
     assert calls == []
     assert capsys.readouterr().err.startswith(f"config error: {error}")
+
+
+@pytest.mark.parametrize("dim, top_label, error", [
+    (None, 1, "[dataset] dim is 2, but the idx-train inputs have 9 columns"),
+    ("9", 2, "[dataset] classes is 2, but the idx-train labels reach 2"),
+], ids=["dim", "classes"])
+def test_idx_data_that_misfits_the_config_rejected_before_training(
+        tmp_path, monkeypatch, capsys, dim, top_label, error):
+    rng = SeededRng(3)
+    images = Dataset(inputs=rng.uniform(0.0, 1.0, 60 * 9).reshape(60, 9),
+                     labels=np.arange(60) % (top_label + 1),
+                     num_classes=top_label + 1, name="tiny",
+                     image_shape=(3, 3))
+    write_idx(images, str(tmp_path / "a.idx"), str(tmp_path / "b.idx"))
+    dataset = "kind = idx\nimages = {0}/a.idx\nlabels = {0}/b.idx\n".format(
+        tmp_path) + (f"dim = {dim}\n" if dim else "")
+    text = TINY_CONFIG.replace("kind = blobs\n", dataset).replace(
+        "dim = 2\n", "")
+    calls = []
+    monkeypatch.setattr(oracle_module, "train_with_cfg", _counting(
+        calls, "train", oracle_module.train_with_cfg))
+    config_path = tmp_path / "idx.ini"
+    config_path.write_text(text)
+    assert main(["run", "--config", str(config_path), "--out",
+                 str(tmp_path / "o")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def test_empty_method_list_rejected(tmp_path, capsys):

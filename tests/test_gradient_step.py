@@ -1,24 +1,29 @@
-"""A step loop's gradient path gives the bits of ``model.backward``.
+"""Every step loop gives the bits of a loop on ``model.backward``.
 
-``model.backward`` is the reference; ``GradientStep`` runs the same
-functions for a step loop, skipping the loss and repeated label checks.
-The two must agree to the last bit, signed zeros included, or every pinned
-digest would move. A step loop sets the BLAS thread count once, however
-many products it runs, and a diverging loop raises a ``NumericError``
-naming its epoch without a floating-point warning.
+``model.backward`` is the reference. Training (``train.train_sgd``) and the
+gradient unlearners (``unlearn._descend``) call the three functions it is
+made of, ``model._forward_trace``, ``numeric._cross_entropy_rows`` and
+``model._backward_from_trace``, but compute the loss only where training
+logs it and check an unlearning batch's labels once. The loops' weights
+must equal the reference's to the last bit, signed zeros included, or every
+pinned digest would move. A step loop sets the BLAS thread count once,
+however many products it runs, and a diverging loop raises a
+``NumericError`` naming its epoch without a floating-point warning.
 """
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
-from unprune.data import gen_blobs
+from unprune import numeric
+from unprune.data import Dataset, gen_blobs
 from unprune.errors import NumericError
-from unprune.model import GradientStep, apply_mask, backward, init_model, mlp_specs
+from unprune.model import apply_mask, backward, init_model, mlp_specs
 from unprune.numeric import SeededRng, softmax
 from unprune.oracle import build_model
-from unprune.train import sgd_step, train_sgd
+from unprune.train import train_sgd
 from unprune.unlearn import unlearn_finetune, unlearn_gradient_ascent
 
 
@@ -49,6 +54,23 @@ def _model_with_signed_zeros(classes, pruned, seed):
     return apply_mask(model)
 
 
+def _reference_loop(model, x, y, steps, rate, shuffle=None):
+    """``steps`` steps ``theta -= rate * grad`` on ``model.backward``; with
+    a ``shuffle`` rng, each step first permutes the rows and the mask is
+    applied before and after it, as ``train_sgd`` does."""
+    for _ in range(steps):
+        bx, by = x, y
+        if shuffle is not None:
+            perm = shuffle.permutation(len(x))
+            bx, by = x[perm], y[perm]
+            apply_mask(model)
+        _, g = backward(model, bx, by)
+        for p, gp in zip(model.weights + model.biases, g.weights + g.biases):
+            p -= rate * gp
+        if shuffle is not None:
+            apply_mask(model)
+
+
 @pytest.mark.parametrize("pruned", [True, False])
 @pytest.mark.parametrize("rows", [1, 7, 40, 360])
 @pytest.mark.parametrize("classes", [2, 3, 10])
@@ -57,20 +79,41 @@ def test_gradient_step_matches_backward_bit_for_bit(pruned, rows, classes):
     rng = SeededRng(rows).split("batch")
     x = rng.normal(rows * 3).reshape(rows, 3)
     y = rng.permutation(rows) % classes
-    half = max(rows // 2, 1)
-    # The full batch twice (labels checked once), then a smaller batch.
-    batches = [(x, y), (x, y), (x[:half], y[:half])]
-    ref, got = model.clone(), model.clone()
-    step = GradientStep()
+    data = Dataset(inputs=x, labels=y, num_classes=classes, name="grid")
+    order = rng.permutation(rows)
     rate = 0.5
-    for bx, by in batches:
-        _, g_ref = backward(ref, bx, by)
-        g_step = step.gradients(got, bx, by)
-        _same_bits(g_ref.weights + g_ref.biases, g_step.weights + g_step.biases)
-        for p, g in zip(ref.weights + ref.biases, g_ref.weights + g_ref.biases):
-            p -= rate * g
-        sgd_step(got, g_step, rate)
+    for loop, sign in ((unlearn_gradient_ascent, -1.0), (unlearn_finetune, 1.0)):
+        ref, got = model.clone(), model.clone()
+        _reference_loop(ref, x[order], y[order], 3, sign * rate)
+        loop(got, data, order, 3, rate)
         _same_bits(ref.weights + ref.biases, got.weights + got.biases)
+    ref, got = model.clone(), model.clone()
+    _reference_loop(ref, x[order], y[order], 3, rate, SeededRng(rows + 1))
+    train_sgd(got, data, order, 3, rate, SeededRng(rows + 1))
+    _same_bits(ref.weights + ref.biases, got.weights + got.biases)
+
+
+def test_descend_checks_labels_once_per_call(monkeypatch):
+    # Every module that binds the check is patched, wherever a loop calls it.
+    real = numeric._true_class_index
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    for name in ("numeric", "model", "train", "unlearn"):
+        # The package exports a function named unlearn, so import by path.
+        module = importlib.import_module(f"unprune.{name}")
+        if getattr(module, "_true_class_index", None) is real:
+            monkeypatch.setattr(module, "_true_class_index", counting)
+    data = gen_blobs(SeededRng(9), 40, 3, 2, 1.0)
+    model = build_model([2, 12, 3], 9)
+    rows = np.arange(0, data.n, 2)
+    for loop in (unlearn_gradient_ascent, unlearn_finetune):
+        calls.clear()
+        loop(model, data, rows, 4, 0.01)
+        assert calls == [(len(rows), 3)]
 
 
 @pytest.mark.parametrize("classes", [2, 3, 10])

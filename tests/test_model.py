@@ -242,11 +242,28 @@ def test_snapshot_trailing_bytes_rejected(tmp_path):
         _load_bytes(tmp_path, raw + b"\x00" * 8)
 
 
-def test_snapshot_non_binary_mask_rejected(tmp_path):
-    model = small_model(19, dims=(2, 4, 2))
-    model.masks[1][0, 0] = 0.5
+def _edited_snapshot(tmp_path, model, layer, block, row, col, value):
+    """Save ``model``, then store ``value`` at (``row``, ``col``) of layer
+    ``layer``'s ``block`` ("weights" or "mask") in the file's bytes."""
     path = str(tmp_path / "model.bin")
     save_snapshot(model, path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    at = raw.index(b"end-header\n") + len(b"end-header\n")
+    for w in model.weights[:layer]:
+        at += 8 * (3 * w.size + w.shape[0])  # weights, bias, mask, init
+    w = model.weights[layer]
+    at += 8 * ({"weights": 0, "mask": w.size + w.shape[0]}[block]
+               + row * w.shape[1] + col)
+    with open(path, "wb") as fh:
+        fh.write(raw[:at] + np.float64(value).astype("<f8").tobytes()
+                 + raw[at + 8:])
+    return path
+
+
+def test_snapshot_non_binary_mask_rejected(tmp_path):
+    model = small_model(19, dims=(2, 4, 2))
+    path = _edited_snapshot(tmp_path, model, 1, "mask", 0, 0, 0.5)
     with pytest.raises(FormatError, match="mask"):
         load_snapshot(path)
 
@@ -257,11 +274,26 @@ def test_snapshot_nonzero_pruned_weight_rejected(tmp_path, value):
     model = small_model(19, dims=(2, 4, 2))
     prune_magnitude(model, 0.5)
     model.masks[1][1, 2] = 0.0
-    model.weights[1][1, 2] = value
-    path = str(tmp_path / "model.bin")
-    save_snapshot(model, path)
+    apply_mask(model)
+    path = _edited_snapshot(tmp_path, model, 1, "weights", 1, 2, value)
     with pytest.raises(FormatError, match="layer 1 has a nonzero pruned weight"):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("fault", ["mask", "weight"])
+def test_save_snapshot_refuses_what_load_rejects(tmp_path, fault):
+    model = small_model(19, dims=(2, 4, 2))
+    if fault == "mask":
+        model.masks[1][0, 0] = 0.5
+        error = "layer 1 mask has entries outside"
+    else:
+        assert model.weights[1][1, 2] != 0.0
+        model.masks[1][1, 2] = 0.0
+        error = "layer 1 has a nonzero pruned weight"
+    path = tmp_path / "model.bin"
+    with pytest.raises(InputError, match=error):
+        save_snapshot(model, str(path))
+    assert not path.exists()
 
 
 @settings(max_examples=150, deadline=None,
