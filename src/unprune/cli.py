@@ -30,11 +30,11 @@ from .experiment import (
     run_experiment,
     trace_name,
 )
-from .mia import ratio_sweep, sweep_to_csv
+from .mia import CHANNELS, ratio_sweep, sweep_to_csv
 from .model import load_snapshot, save_snapshot
 from .numeric import SeededRng
 from .prune import sparsity_of
-from .svg import line_svg
+from .svg import chart_svg
 from .train import evaluate
 
 DEFAULT_MIA_RATIOS = tuple(round(0.8 + 0.05 * i, 2) for i in range(9))
@@ -170,13 +170,11 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
     csv_path = os.path.join(out, f"mia_sweep_seed{seed}.csv")
     sweep_to_csv(reports, csv_path)
     svg_path = os.path.join(out, f"mia_sweep_seed{seed}.svg")
-    from .mia import CHANNELS
-
     series = {
         channel: [(rep.ratio, rep.score(channel)) for rep in reports]
         for channel in CHANNELS
     }
-    line_svg(series, "shadow ratio", "attack score", svg_path)
+    chart_svg(series, "shadow ratio", "attack score", svg_path, lines=True)
     spread = max(r.correctness for r in reports) - min(
         r.correctness for r in reports
     )

@@ -28,10 +28,13 @@ from .errors import ConfigError, InputError
 from .model import MaskedModel, apply_mask
 from .numeric import SeededRng, blas_scope, round_count
 from .prune import (
+    _set_flat,
+    _smallest,
     hidden_layer_indices,
     neuron_mask,
     prune_magnitude,
     prune_structured_l2,
+    row_norms,
     sparsity_of,
 )
 from .train import evaluate
@@ -125,20 +128,14 @@ def grow_mask(model: MaskedModel, p: float) -> tuple[MaskedModel, np.ndarray]:
     if count == 0:
         return model, np.zeros(0, dtype=np.int64)
     flat_m = model.flat_masks()
-    flat_w = model.flat_weights()
     candidates = np.flatnonzero(flat_m == 0.0)
     if count > len(candidates):
         raise InputError(
             f"cannot grow {count} entries: only {len(candidates)} are masked"
         )
-    # Stable sort on negated magnitude: descending, ties at lowest flat index.
-    order = candidates[np.argsort(-np.abs(flat_w[candidates]), kind="stable")]
-    grown = np.sort(order[:count])
+    grown = np.sort(_smallest(-np.abs(model.flat_weights()), candidates, count))
     flat_m[grown] = 1.0
-    offset = 0
-    for m in model.masks:
-        m[...] = flat_m[offset:offset + m.size].reshape(m.shape)
-        offset += m.size
+    _set_flat(model.masks, flat_m)
     return model, grown
 
 
@@ -163,17 +160,13 @@ def grow_mask_structured(
     if count == 0:
         return model, np.zeros(0, dtype=np.int64)
     count = min(count, len(pruned))
-    norms = np.concatenate(
-        [np.sqrt((model.weights[l] ** 2).sum(axis=1)) for l in hidden]
-    )
-    order = pruned[np.argsort(-norms[pruned], kind="stable")]
-    grown = np.sort(order[:count])
-    offsets = np.cumsum([0] + [model.layers[l].out_dim for l in hidden])
-    for g in grown:
-        layer_pos = int(np.searchsorted(offsets, g, side="right") - 1)
-        l = hidden[layer_pos]
-        row = int(g - offsets[layer_pos])
-        model.masks[l][row, :] = 1.0
+    norms = np.concatenate([row_norms(model, l) for l in hidden])
+    grown = np.sort(_smallest(-norms, pruned, count))
+    rows = np.zeros(total_hidden, dtype=bool)
+    rows[grown] = True
+    ends = np.cumsum([model.layers[l].out_dim for l in hidden])[:-1]
+    for l, layer_rows in zip(hidden, np.split(rows, ends)):
+        model.masks[l][layer_rows, :] = 1.0
     return model, grown
 
 

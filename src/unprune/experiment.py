@@ -4,7 +4,9 @@ Per seed (``prepare_seed``): build the data, train (or load) the original
 model on the full data and prune one clone per sparsity. Then build (or
 load) the retrain+reprune oracle, then run every unlearning method through
 the un-pruning loop and score the result against both the oracle and the
-original. Rows are sorted before emission so the output never depends on
+original. A failed cell, or a seed or oracle whose training diverges,
+becomes one ``errors`` entry per cell it stopped; the other cells' rows
+are kept. Rows are sorted before emission so the output never depends on
 execution order, and with timing recording disabled two runs of the same
 config produce byte-identical files.
 """
@@ -15,7 +17,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -24,18 +26,12 @@ from .config import ExperimentConfig
 from .core import UnpruneTrace, topology, ua_ta, unprune
 from .data import (Dataset, DeletionSplit, gen_blobs, load_idx,
                    split_delete, write_csv)
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from .model import MaskedModel
 from .numeric import SeededRng
 from .oracle import cached_oracle, train_model
 from .train import TrainLog
-
-CSV_COLUMNS = ("seed", "method", "sparsity", "iom", "uom", "iou", "kl",
-               "ta", "ua", "wall_time_s")
-
-METRIC_NAMES = ("iom", "uom", "iou", "kl", "ta", "ua", "sparsity", "wall_time_s")
-
 
 @dataclass(frozen=True)
 class CellRow:
@@ -50,10 +46,11 @@ class CellRow:
     ua: float
     wall_time_s: float
 
-    def metric(self, name: str) -> float:
-        if name not in METRIC_NAMES:
-            raise ConfigError(f"unknown metric {name!r}")
-        return getattr(self, name)
+
+# The results columns are CellRow's fields, in order; every column after
+# seed and method is a number a chart can plot.
+CSV_COLUMNS = tuple(f.name for f in fields(CellRow))
+METRIC_NAMES = CSV_COLUMNS[2:]
 
 
 @dataclass
@@ -186,6 +183,18 @@ def cell_unprune(cfg, seed, sparsity, method, model, train_data, test_data,
     return trace
 
 
+def _rows(cfg, seed, sparsity, method, model, refs, wall, data
+          ) -> list[CellRow]:
+    """``model`` scored against each reference of ``refs`` (an ordered
+    ``{suffix: reference model}``): one row per reference, named
+    ``method + suffix``. ``data`` is the (train, test, split) triple."""
+    wall = wall if cfg.record_timing else 0.0
+    scores = _scores(cfg, model, tuple(refs.values()), *data)
+    return [CellRow(seed=seed, method=method + suffix, sparsity=sparsity,
+                    wall_time_s=wall, **score)
+            for suffix, score in zip(refs, scores)]
+
+
 def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, UnpruneTrace]:
     """One (seed, sparsity, method) cell: un-prune a clone, score it."""
     (cfg, seed, sparsity, method, pruned, oracle, train_data, test_data,
@@ -194,16 +203,11 @@ def _unprune_cell(payload: tuple) -> tuple[CellRow, CellRow, UnpruneTrace]:
     t0 = time.perf_counter()
     trace = cell_unprune(cfg, seed, sparsity, method, model, train_data,
                          test_data, split)
-    wall = time.perf_counter() - t0 if cfg.record_timing else 0.0
-    vs_oracle, vs_original = _scores(cfg, model, (oracle, pruned), train_data,
-                                     test_data, split)
-    return (
-        CellRow(seed=seed, method=method, sparsity=sparsity, wall_time_s=wall,
-                **vs_oracle),
-        CellRow(seed=seed, method=f"{method}:vs_original", sparsity=sparsity,
-                wall_time_s=wall, **vs_original),
-        trace,
-    )
+    wall = time.perf_counter() - t0
+    vs_oracle, vs_original = _rows(
+        cfg, seed, sparsity, method, model, {"": oracle, ":vs_original": pruned},
+        wall, (train_data, test_data, split))
+    return vs_oracle, vs_original, trace
 
 
 def model_cache_dir(out_dir: str | None) -> str | None:
@@ -213,49 +217,50 @@ def model_cache_dir(out_dir: str | None) -> str | None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
                    ) -> ExperimentReport:
-    """Run the configured grid; optionally write traces under out_dir."""
+    """Run the configured grid; optionally write traces under out_dir.
+
+    If diverging training leaves no row at all, its first error is raised.
+    """
     cfg.validate()
     report = ExperimentReport()
     traces: dict[tuple, UnpruneTrace] = {}
     cache_dir = model_cache_dir(out_dir)
 
+    failed: list[NumericError] = []  # training that diverged, in order
     for seed in cfg.seeds:
-        (train_data, test_data, split, _, _, dense_wall, pruned_at,
-         prune_wall) = prepare_seed(cfg, seed, cache_dir)
+        try:
+            setup = prepare_seed(cfg, seed, cache_dir)
+        except NumericError as exc:  # a diverging seed fails all its cells
+            failed.append(exc)
+            report.errors += _errors(exc, seed, cfg.sparsities, cfg.methods)
+            continue
+        data = setup.train_data, setup.test_data, setup.split
         for sparsity in cfg.sparsities:
-            pruned = pruned_at[sparsity]
-            oracle, oracle_wall, _ = cell_oracle(
-                cfg, seed, sparsity, train_data, split, cache_dir)
-            timing = cfg.record_timing
-            report.rows.append(CellRow(
-                seed=seed, method="original", sparsity=sparsity,
-                wall_time_s=(dense_wall + prune_wall[sparsity]) if timing
-                else 0.0,
-                **_scores(cfg, pruned, (oracle,), train_data, test_data,
-                          split)[0],
-            ))
-            report.rows.append(CellRow(
-                seed=seed, method="oracle", sparsity=sparsity,
-                wall_time_s=oracle_wall if timing else 0.0,
-                **_scores(cfg, oracle, (oracle,), train_data, test_data,
-                          split)[0],
-            ))
+            pruned = setup.pruned[sparsity]
+            try:
+                oracle, oracle_wall, _ = cell_oracle(
+                    cfg, seed, sparsity, setup.train_data, setup.split,
+                    cache_dir)
+            except NumericError as exc:
+                failed.append(exc)
+                report.errors += _errors(exc, seed, (sparsity,), cfg.methods)
+                continue
+            report.rows += _rows(
+                cfg, seed, sparsity, "original", pruned, {"": oracle},
+                setup.train_wall + setup.prune_wall[sparsity], data)
+            report.rows += _rows(cfg, seed, sparsity, "oracle", oracle,
+                                 {"": oracle}, oracle_wall, data)
             for method in cfg.methods:
                 try:
-                    vs_oracle, vs_original, trace = _unprune_cell(
-                        (cfg, seed, sparsity, method, pruned, oracle,
-                         train_data, test_data, split))
+                    *rows, trace = _unprune_cell(
+                        (cfg, seed, sparsity, method, pruned, oracle, *data))
                 except Exception as exc:  # cell failure: record, continue
-                    report.errors.append({
-                        "seed": seed, "method": method,
-                        "sparsity": sparsity, "error": str(exc),
-                        "type": type(exc).__name__,
-                        "traceback": _frames(exc),
-                    })
+                    report.errors += _errors(exc, seed, (sparsity,), (method,))
                     continue
-                report.rows.append(vs_oracle)
-                report.rows.append(vs_original)
+                report.rows += rows
                 traces[(seed, sparsity, method)] = trace
+    if failed and not report.rows:
+        raise failed[0]
 
     report.rows.sort(key=lambda r: (r.seed, r.sparsity, r.method))
     report.errors.sort(key=lambda e: (e["seed"], e["sparsity"], e["method"]))
@@ -272,6 +277,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
     return report
 
 
+def _errors(exc: BaseException, seed: int, sparsities, methods
+            ) -> list[dict]:
+    """One ``errors`` entry per (sparsity, method) cell that ``exc`` stopped."""
+    return [{"seed": seed, "method": method, "sparsity": sparsity,
+             "error": str(exc), "type": type(exc).__name__,
+             "traceback": _frames(exc)}
+            for sparsity in sparsities for method in methods]
+
+
 def _frames(exc: BaseException) -> list[str]:
     """``exc``'s traceback as ``"<file>:<line> in <function>"`` frames.
 
@@ -283,11 +297,9 @@ def _frames(exc: BaseException) -> list[str]:
 
 
 def emit_csv(report: ExperimentReport, path: str) -> None:
-    """Stable column order: seed,method,sparsity,iom,uom,iou,kl,ta,ua,wall_time_s."""
+    """One line per row in ``CSV_COLUMNS`` order, the wall time to 1 ms."""
     write_csv(path, CSV_COLUMNS, [
-        (row.seed, row.method, row.sparsity, row.iom, row.uom, row.iou,
-         row.kl, row.ta, row.ua, f"{row.wall_time_s:.3f}")
-        for row in report.rows])
+        (*astuple(row)[:-1], f"{row.wall_time_s:.3f}") for row in report.rows])
 
 
 def emit_json(report: ExperimentReport, path: str) -> None:
@@ -312,18 +324,16 @@ def report_from_json(path: str) -> ExperimentReport:
 def emit_scatter(report: ExperimentReport, x_metric: str, y_metric: str,
                  path: str) -> None:
     """One point per (method, seed) row, with the oracle as a reference marker."""
-    from .svg import scatter_svg
+    from .svg import chart_svg
 
     if x_metric not in METRIC_NAMES or y_metric not in METRIC_NAMES:
         raise ConfigError(f"unknown metric: {x_metric!r} / {y_metric!r}")
-    points = []
+    series: dict[str, list[tuple[float, float]]] = {}
     reference = None
     for row in report.rows:
-        if ":vs_original" in row.method:
-            continue
+        point = (getattr(row, x_metric), getattr(row, y_metric))
         if row.method == "oracle":
-            if reference is None:
-                reference = (row.metric(x_metric), row.metric(y_metric), "oracle")
-            continue
-        points.append((row.metric(x_metric), row.metric(y_metric), row.method))
-    scatter_svg(points, x_metric, y_metric, path, reference)
+            reference = reference or (*point, "oracle")
+        elif ":vs_original" not in row.method:
+            series.setdefault(row.method, []).append(point)
+    chart_svg(series, x_metric, y_metric, path, reference=reference)

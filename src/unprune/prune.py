@@ -49,18 +49,24 @@ def sparsity_of(model: MaskedModel) -> SparsityReport:
     )
 
 
-def _prune_flat(weights: np.ndarray, mask: np.ndarray, target_zeros: int) -> None:
-    """Zero additional smallest-|weight| unmasked entries until target_zeros."""
-    current = int(mask.size - mask.sum())
-    need = target_zeros - current
-    if need == 0:
-        return
-    candidates = np.flatnonzero(mask == 1.0)
-    # Stable sort on magnitude: equal magnitudes fall in flat-index order.
-    order = candidates[np.argsort(np.abs(weights[candidates]), kind="stable")]
-    victims = order[:need]
-    mask[victims] = 0.0
-    weights[victims] = 0.0
+def _smallest(scores: np.ndarray, candidates: np.ndarray,
+              count: int) -> np.ndarray:
+    """The ``count`` candidates of lowest score; equal scores fall in
+    candidate order (a stable sort). Grow passes the negated score."""
+    return candidates[np.argsort(scores[candidates], kind="stable")[:count]]
+
+
+def _set_flat(arrays: list[np.ndarray], flat: np.ndarray) -> None:
+    """Write the concatenation ``flat`` back over ``arrays``, in order."""
+    offset = 0
+    for a in arrays:
+        a[...] = flat[offset:offset + a.size].reshape(a.shape)
+        offset += a.size
+
+
+def row_norms(model: MaskedModel, l: int) -> np.ndarray:
+    """The incoming-row l2 norm of each output unit of layer ``l``."""
+    return np.sqrt((model.weights[l] ** 2).sum(axis=1))
 
 
 def prune_magnitude(
@@ -76,36 +82,25 @@ def prune_magnitude(
         raise InputError(f"unknown prune scope {scope!r}")
     if not 0.0 <= target_sparsity < 1.0:
         raise InputError(f"target sparsity must lie in [0, 1), got {target_sparsity}")
-    report = sparsity_of(model)
-    if scope == "global":
-        target_zeros = round_count(target_sparsity * report.total_weights)
-        if target_zeros < report.zero_mask_entries:
+    layers = list(range(len(model.masks)))
+    for group in [layers] if scope == "global" else [[l] for l in layers]:
+        weights = [model.weights[l] for l in group]
+        masks = [model.masks[l] for l in group]
+        flat_w = np.concatenate([w.ravel() for w in weights])
+        flat_m = np.concatenate([m.ravel() for m in masks])
+        target_zeros = round_count(target_sparsity * flat_m.size)
+        current = int(flat_m.size - flat_m.sum())
+        if target_zeros < current:
             raise InputError(
-                f"target sparsity {target_sparsity} is below current "
-                f"{report.sparsity:.6f}"
+                f"layers {group}: target sparsity {target_sparsity} is below "
+                f"current {current / flat_m.size:.6f}"
             )
-        flat_w = model.flat_weights()
-        flat_m = model.flat_masks()
-        _prune_flat(flat_w, flat_m, target_zeros)
-        offset = 0
-        for w, m in zip(model.weights, model.masks):
-            w[...] = flat_w[offset:offset + w.size].reshape(w.shape)
-            m[...] = flat_m[offset:offset + m.size].reshape(m.shape)
-            offset += w.size
-    else:
-        for i, (w, m) in enumerate(zip(model.weights, model.masks)):
-            target_zeros = round_count(target_sparsity * m.size)
-            current = int(m.size - m.sum())
-            if target_zeros < current:
-                raise InputError(
-                    f"layer {i}: target sparsity {target_sparsity} is below "
-                    f"current {current / m.size:.6f}"
-                )
-            flat_w = w.ravel()
-            flat_m = m.ravel()
-            _prune_flat(flat_w, flat_m, target_zeros)
-            w[...] = flat_w.reshape(w.shape)
-            m[...] = flat_m.reshape(m.shape)
+        victims = _smallest(np.abs(flat_w), np.flatnonzero(flat_m == 1.0),
+                            target_zeros - current)
+        flat_m[victims] = 0.0
+        flat_w[victims] = 0.0
+        _set_flat(weights, flat_w)
+        _set_flat(masks, flat_m)
     return apply_mask(model)
 
 
@@ -133,8 +128,7 @@ def prune_structured_l2(model: MaskedModel, prune_fraction: float) -> MaskedMode
             continue
         if k >= units:
             raise InputError(f"layer {l}: pruning would leave zero active neurons")
-        norms = np.sqrt((model.weights[l] ** 2).sum(axis=1))
-        victims = np.argsort(norms, kind="stable")[:k]
+        victims = _smallest(row_norms(model, l), np.arange(units), k)
         model.masks[l][victims, :] = 0.0
         model.weights[l][victims, :] = 0.0
         model.biases[l][victims] = 0.0

@@ -81,30 +81,36 @@ def _document(body: list[str]) -> str:
     )
 
 
-def scatter_svg(
-    points: list[tuple[float, float, str]],
+def chart_svg(
+    series: dict[str, list[tuple[float, float]]],
     x_label: str,
     y_label: str,
     path: str,
+    lines: bool = False,
     reference: tuple[float, float, str] | None = None,
 ) -> None:
-    """Scatter of (x, y, series) triples with a legend; optional star marker."""
-    xs = [p[0] for p in points] + ([reference[0]] if reference else [])
-    ys = [p[1] for p in points] + ([reference[1]] if reference else [])
-    frame = _Frame(xs, ys, x_label, y_label)
+    """One colour per labelled series, in insertion order: a polyline through
+    its points with ``lines``, else a dot per point; NaN points are skipped.
+    ``reference`` (x, y, label) is a black diamond with its own legend entry.
+    """
+    points = [p for pts in series.values() for p in pts]
+    if reference is not None:
+        points.append(reference[:2])
+    frame = _Frame([x for x, _ in points], [y for _, y in points],
+                   x_label, y_label)
     body = frame.axes()
-    series = []
-    for _, _, label in points:
-        if label not in series:
-            series.append(label)
     colors = {label: PALETTE[i % len(PALETTE)] for i, label in enumerate(series)}
-    for x, y, label in points:
-        if x != x or y != y:
-            continue
-        body.append(
-            f'<circle cx="{frame.px(x):.1f}" cy="{frame.py(y):.1f}" r="4" '
-            f'fill="{colors[label]}" fill-opacity="0.8"/>'
-        )
+    for label, pts in series.items():
+        drawn = [(frame.px(x), frame.py(y)) for x, y in pts
+                 if x == x and y == y]
+        if not lines:
+            body += [f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" '
+                     f'fill="{colors[label]}" fill-opacity="0.8"/>'
+                     for px, py in drawn]
+        elif drawn:
+            coords = " ".join(f"{px:.1f},{py:.1f}" for px, py in drawn)
+            body.append(f'<polyline points="{coords}" fill="none" '
+                        f'stroke="{colors[label]}" stroke-width="1.5"/>')
     if reference is not None and reference[0] == reference[0]:
         rx, ry = frame.px(reference[0]), frame.py(reference[1])
         body.append(
@@ -112,43 +118,8 @@ def scatter_svg(
             f'L {rx:.1f} {ry + 7:.1f} L {rx - 7:.1f} {ry:.1f} Z" '
             'fill="black"/>'
         )
-        series.append(reference[2])
         colors[reference[2]] = "black"
-    for i, label in enumerate(series):
-        ly = MARGIN + 8 + 16 * i
-        body.append(
-            f'<rect x="{WIDTH - MARGIN - 130}" y="{ly - 8}" width="10" '
-            f'height="10" fill="{colors[label]}"/>'
-        )
-        body.append(
-            f'<text x="{WIDTH - MARGIN - 114}" y="{ly + 1}" font-size="11">'
-            f'{escape(label)}</text>'
-        )
-    with open(path, "w") as fh:
-        fh.write(_document(body))
-
-
-def line_svg(
-    series: dict[str, list[tuple[float, float]]],
-    x_label: str,
-    y_label: str,
-    path: str,
-) -> None:
-    """One polyline per labelled series, e.g. MIA score against shadow ratio."""
-    xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts]
-    frame = _Frame(xs, ys, x_label, y_label)
-    body = frame.axes()
-    for i, (label, pts) in enumerate(series.items()):
-        color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(
-            f"{frame.px(x):.1f},{frame.py(y):.1f}" for x, y in pts if y == y
-        )
-        if coords:
-            body.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                'stroke-width="1.5"/>'
-            )
+    for i, (label, color) in enumerate(colors.items()):
         ly = MARGIN + 8 + 16 * i
         body.append(
             f'<rect x="{WIDTH - MARGIN - 130}" y="{ly - 8}" width="10" '

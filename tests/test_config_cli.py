@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import unprune.core as core_module
+import unprune.experiment as experiment_module
 import unprune.oracle as oracle_module
 import unprune.train as train_module
-from unprune import cli, numeric
+from unprune import cli, numeric, svg
 from unprune.cli import main
 from unprune.config import (
     _KEYS,
@@ -22,6 +23,7 @@ from unprune.config import (
 )
 from unprune.data import Dataset, write_idx
 from unprune.errors import ConfigError, NumericError
+from unprune.mia import CHANNELS
 from unprune.experiment import (
     CellRow,
     ExperimentReport,
@@ -407,6 +409,46 @@ def test_failed_cell_records_its_error_type(tmp_path, monkeypatch):
     assert get_threads() == threads
 
 
+@pytest.mark.parametrize("module", [experiment_module, oracle_module],
+                         ids=["dense", "oracle"])
+def test_diverging_seed_keeps_the_other_seeds(tmp_path, monkeypatch, module):
+    # Seed 1's dense training (in prepare_seed), or only its retained
+    # training (in the oracle), diverges. Its cells become errors; seed 0's
+    # rows and traces are written as a seed-0-only run writes them.
+    alone = tmp_path / "alone"
+    report_alone = run_experiment(parse_config_text(TINY_CONFIG),
+                                  out_dir=str(alone))
+    train_model = module.train_model
+
+    def diverging(cache_dir, dataset, rows, dims, train_cfg, seed):
+        if seed == 1:
+            raise NumericError("training diverged on purpose")
+        return train_model(cache_dir, dataset, rows, dims, train_cfg, seed)
+
+    monkeypatch.setattr(module, "train_model", diverging)
+    config_path = tmp_path / "two.ini"
+    config_path.write_text(TINY_CONFIG.replace("seeds = 0", "seeds = 0,1"))
+    out = tmp_path / "two"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    report = report_from_json(str(out / "results.json"))
+    assert report.rows == report_alone.rows
+    assert (out / "results.csv").read_bytes() == (
+        alone / "results.csv").read_bytes()
+    traces = sorted(os.listdir(alone / "traces"))
+    assert sorted(os.listdir(out / "traces")) == traces
+    for name in traces:
+        assert (out / "traces" / name).read_bytes() == (
+            alone / "traces" / name).read_bytes()
+    assert [(e["seed"], e["sparsity"], e["method"], e["type"], e["error"])
+            for e in report.errors] == [
+        (1, 0.5, "finetune", "NumericError", "training diverged on purpose"),
+        (1, 0.5, "noop", "NumericError", "training diverged on purpose")]
+    for error in report.errors:
+        assert set(error) == {"seed", "method", "sparsity", "error", "type",
+                              "traceback"}
+        assert error["traceback"][-1].endswith(" in diverging")
+
+
 # SHA-256 of the structured grid's outputs for seed 0 without timing. A
 # change that moves these numbers must re-pin them and say why.
 STRUCTURED_SEED0_SHA256 = {
@@ -463,17 +505,57 @@ def _count_circles(path):
     return len(tree.getroot().findall(".//{http://www.w3.org/2000/svg}circle"))
 
 
+def _svg_elements(path, tag):
+    return ET.parse(path).getroot().findall(f"{{http://www.w3.org/2000/svg}}{tag}")
+
+
+def _legend(path):
+    """The legend's labels, top to bottom."""
+    x = str(svg.WIDTH - svg.MARGIN - 114)
+    return [t.text for t in _svg_elements(path, "text") if t.get("x") == x]
+
+
 def test_scatter_svg_valid_and_counts(tiny_report, tmp_path):
     _, report, _ = tiny_report
     path = tmp_path / "scatter.svg"
     emit_scatter(report, "iom", "ua", str(path))
     # (original + 2 methods) x 1 seed = 3 circles; oracle is a diamond marker.
     assert _count_circles(str(path)) == 3
+    assert len(_svg_elements(str(path), "path")) == 1
+    # Methods in first-appearance order, then the oracle's own entry.
+    assert _legend(str(path)) == ["finetune", "noop", "original", "oracle"]
     empty = tmp_path / "empty.svg"
     emit_scatter(ExperimentReport(), "iom", "ua", str(empty))
     ET.parse(str(empty))  # still well-formed XML
     with pytest.raises(ConfigError):
         emit_scatter(report, "iom", "accuracy", str(path))
+
+
+def test_chart_svg_skips_nan_points_and_keeps_their_legend(tmp_path):
+    nan = float("nan")
+    series = {"a": [(0.0, 1.0), (1.0, nan), (2.0, 3.0)],
+              "b": [(0.0, nan), (1.0, nan)]}
+    path = str(tmp_path / "lines.svg")
+    svg.chart_svg(series, "x", "y", path, lines=True)
+    (line,) = _svg_elements(path, "polyline")
+    assert len(line.get("points").split()) == 2
+    assert _legend(path) == ["a", "b"]
+    svg.chart_svg(series, "x", "y", path)
+    assert _count_circles(path) == 2
+    assert not _svg_elements(path, "polyline")
+    assert _legend(path) == ["a", "b"]
+
+
+def test_mia_sweep_chart_has_one_line_per_channel(tmp_path):
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    assert main(["mia-sweep", "--config", str(config_path), "--out",
+                 str(out)]) == 0
+    path = str(out / "mia_sweep_seed0.svg")
+    assert len(_svg_elements(path, "polyline")) == len(CHANNELS) == 5
+    assert _legend(path) == list(CHANNELS)
+    assert _count_circles(path) == 0
 
 
 def test_cli_run_and_plot(tmp_path):
