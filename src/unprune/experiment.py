@@ -235,16 +235,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
             report.errors += _errors(exc, seed, cfg.sparsities, cfg.methods)
             continue
         data = setup.train_data, setup.test_data, setup.split
-        for sparsity in cfg.sparsities:
+        for i, sparsity in enumerate(cfg.sparsities):
             pruned = setup.pruned[sparsity]
             try:
                 oracle, oracle_wall, _ = cell_oracle(
                     cfg, seed, sparsity, setup.train_data, setup.split,
                     cache_dir)
             except NumericError as exc:
+                # The seed's oracles share one retained training, so it
+                # fails the same way at the remaining sparsities.
                 failed.append(exc)
-                report.errors += _errors(exc, seed, (sparsity,), cfg.methods)
-                continue
+                report.errors += _errors(exc, seed, cfg.sparsities[i:],
+                                         cfg.methods)
+                break
             report.rows += _rows(
                 cfg, seed, sparsity, "original", pruned, {"": oracle},
                 setup.train_wall + setup.prune_wall[sparsity], data)

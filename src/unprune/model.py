@@ -125,21 +125,31 @@ def init_model(specs: list[LayerSpec], rng: SeededRng) -> MaskedModel:
 
 def _forward_trace(
     model: MaskedModel, inputs: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Returns (per-layer activations incl. input, per-layer pre-activations)."""
+) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """Returns (per-layer activations incl. input, per-layer ReLU masks).
+
+    A ReLU layer's mask is its boolean ``z > 0`` on the pre-activation
+    ``z``, taken once; the layer then applies ReLU in ``z`` itself, so its
+    activation is the only (batch, width) array it allocates. A layer
+    without ReLU has the mask None.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layers[0].in_dim:
         raise ShapeError(
             f"inputs must be (batch, {model.layers[0].in_dim}), got {x.shape}"
         )
     acts = [x]
-    pre = []
+    masks = []
     for spec, w, b in zip(model.layers, model.weights, model.biases):
         z = matmul(acts[-1], w.T)
         z += b
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
-    return acts, pre
+        if spec.activation == "relu":
+            masks.append(z > 0.0)
+            np.maximum(z, 0.0, out=z)
+        else:
+            masks.append(None)
+        acts.append(z)
+    return acts, masks
 
 
 def forward(model: MaskedModel, inputs: np.ndarray) -> np.ndarray:
@@ -161,31 +171,37 @@ def backward(
 
 def _backward_from_trace(model: MaskedModel, trace,
                          delta: np.ndarray) -> GradientSet:
-    """Parameter gradients from a ``_forward_trace`` and the logit gradient."""
-    acts, pre = trace
+    """Parameter gradients from a ``_forward_trace`` and the logit gradient.
+
+    A bias gradient is the column sum of its layer's delta. ``einsum`` adds
+    the rows in the order ``sum(axis=0)`` does, at less cost, for two or
+    more columns; over one column ``sum`` adds pairwise, so a width-1 layer
+    keeps it.
+    """
+    acts, masks = trace
     g_w = [None] * len(model.layers)
     g_b = [None] * len(model.layers)
-    for l, d in _layer_deltas(model, pre, delta):
+    for l, d in _layer_deltas(model, masks, delta):
         g_w[l] = matmul(d.T, acts[l])
-        g_b[l] = d.sum(axis=0)
+        g_b[l] = np.einsum("ij->j", d) if d.shape[1] > 1 else d.sum(axis=0)
     return GradientSet(weights=g_w, biases=g_b)
 
 
-def _layer_deltas(model: MaskedModel, pre: list[np.ndarray],
+def _layer_deltas(model: MaskedModel, masks: list[np.ndarray | None],
                   delta: np.ndarray):
     """Yield ``(l, delta)`` from the last layer down: the ReLU recursion.
 
     ``delta`` is the loss gradient at layer ``l``'s pre-activation; the caller
     uses it before the next is made, so matmuls run dW(L-1), dX(L-1), ...
-    ``pre`` comes from the ``_forward_trace`` of the batch, and the recursion
+    ``masks`` come from the ``_forward_trace`` of the batch, and the recursion
     reads the live ``model.weights``: they must not change between the two.
     """
     for l in range(len(model.layers) - 1, -1, -1):
         yield l, delta
         if l > 0:
             delta = matmul(delta, model.weights[l])
-            if model.layers[l - 1].activation == "relu":
-                delta *= pre[l - 1] > 0.0
+            if masks[l - 1] is not None:
+                delta *= masks[l - 1]
 
 
 def apply_mask(model: MaskedModel) -> MaskedModel:

@@ -165,12 +165,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax.
+    """Row-wise stable softmax of a (batch, classes) array.
 
     The row maxima are taken column by column with ``np.maximum``, which is
     exact for any class count and much faster than ``max(axis=1)`` over a
-    few columns. The denominator stays numpy's row sum: it adds 8 or more
-    terms pairwise, so a column-by-column sum would move the last bits.
+    few columns. The denominator is numpy's row sum, which adds fewer than
+    8 terms one after another and 8 or more in another order.
+    ``_cross_entropy_rows`` computes the same values class-major below 8
+    classes, where the two sums agree bit for bit.
     """
     z = np.asarray(logits, dtype=np.float64)
     top = z[:, 0].copy()
@@ -197,8 +199,16 @@ def softmax_cross_entropy(
     return _mean_loss(nll), grad
 
 
+# Below this many classes ``_cross_entropy_rows`` works class-major. Its
+# sequential sum over the classes then gives the bits of numpy's row sum,
+# which is sequential below 8 terms only.
+CLASS_MAJOR_BELOW = 8
+
+
 def _true_class_index(labels: np.ndarray, batch: int, classes: int) -> np.ndarray:
-    """Each row's flat index of its true class in a (batch, classes) array.
+    """Each row's flat index of its true class in the layout that
+    ``_cross_entropy_rows`` works in: (classes, batch) below
+    ``CLASS_MAJOR_BELOW`` classes, (batch, classes) from there on.
 
     Raises unless ``labels`` holds one class in [0, classes) per row.
     """
@@ -210,6 +220,8 @@ def _true_class_index(labels: np.ndarray, batch: int, classes: int) -> np.ndarra
     if labels.min() < 0 or labels.max() >= classes:
         raise InputError(f"labels must lie in [0, {classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
+    if classes < CLASS_MAJOR_BELOW:
+        return labels * batch + np.arange(batch)
     return np.arange(batch) * classes + labels
 
 
@@ -222,13 +234,47 @@ def _cross_entropy_rows(
     likelihoods are not computed and None stands in for them. A row's value
     does not depend on the other rows, so a caller may reorder the rows
     before taking the mean with ``_mean_loss``.
+
+    Below ``CLASS_MAJOR_BELOW`` classes the work runs on a (classes, batch)
+    copy of the logits: each class is one contiguous row, so every step is
+    one long loop where the row layout makes one short loop per sample.
+    The steps and their order are ``softmax``'s: the maxima over the
+    classes, the shift, ``exp``, the sum over the classes one after
+    another, the division, then the one-hot subtraction and the division
+    by the batch, so the values are the same bit for bit. The gradient is
+    returned C-contiguous as (batch, classes) in either layout; the BLAS
+    products it feeds would round differently on another layout.
     """
-    grad = softmax(logits)
+    batch, classes = logits.shape
+    class_major = classes < CLASS_MAJOR_BELOW
+    grad = _softmax_class_major(logits) if class_major else softmax(logits)
     flat = grad.reshape(-1)
     rows_nll = -np.log(np.maximum(flat[true_index], 1e-300)) if nll else None
     flat[true_index] -= 1.0
-    grad /= len(grad)
+    if class_major:
+        return rows_nll, np.divide(grad.T, batch, out=np.empty((batch, classes)))
+    grad /= batch
     return rows_nll, grad
+
+
+def _softmax_class_major(logits: np.ndarray) -> np.ndarray:
+    """``softmax(logits).T`` as a C-contiguous (classes, batch) array,
+    computed in that layout with ``softmax``'s steps in ``softmax``'s order.
+
+    The sum over the classes runs one class after another; it equals
+    ``softmax``'s row sum below ``CLASS_MAJOR_BELOW`` classes only.
+    """
+    batch, classes = logits.shape
+    top = logits[:, 0].copy()
+    for k in range(1, classes):
+        np.maximum(top, logits[:, k], out=top)
+    e = np.subtract(logits.T, top, out=np.empty((classes, batch)))
+    np.exp(e, out=e)
+    total = e[0].copy()
+    for k in range(1, classes):
+        total += e[k]
+    e /= total
+    return e
 
 
 def _mean_loss(nll: np.ndarray) -> float:

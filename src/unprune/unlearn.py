@@ -95,14 +95,14 @@ def fisher_diag(
         raise InputError("fisher row set is empty")
     x = dataset.inputs[rows]
     y = dataset.labels[rows]
-    acts, pre = _forward_trace(model, x)
+    acts, masks = _forward_trace(model, x)
     # Per-sample gradient of the per-sample loss: no 1/batch factor.
     delta = softmax(acts[-1])
     delta[np.arange(len(rows)), y] -= 1.0
     n = float(len(rows))
     f_w = [None] * len(model.layers)
     f_b = [None] * len(model.layers)
-    for l, d in _layer_deltas(model, pre, delta):
+    for l, d in _layer_deltas(model, masks, delta):
         f_w[l] = matmul((d ** 2).T, acts[l] ** 2) / n
         f_b[l] = (d ** 2).mean(axis=0)
     return GradientSet(weights=f_w, biases=f_b)

@@ -84,6 +84,22 @@ seeds = 0
 record_timing = false
 """
 
+# The one config of the tests that check masks: the tiny config with three
+# classes, a wider layer, more deleted rows, a higher sparsity, a longer and
+# faster finetune and two seeds. On TINY_CONFIG every row reads IoU 1.0 and
+# IoM 0.5, so its rows and digests cannot tell one mask computation from
+# another. Here the original and the oracle keep different masks, the
+# original-init finetune IoM differs from the random-init one on each seed,
+# and the three classes run the class-major cross-entropy end to end.
+MASK_CONFIG = (TINY_CONFIG.replace("classes = 2", "classes = 3")
+               .replace("hidden = 8", "hidden = 16")
+               .replace("ratio = 0.1", "ratio = 0.3")
+               .replace("sparsities = 0.5", "sparsities = 0.8")
+               .replace("rate = 0.05", "rate = 0.3")
+               .replace("[unlearn.finetune]\nsteps = 5",
+                        "[unlearn.finetune]\nsteps = 20")
+               .replace("seeds = 0", "seeds = 0,1"))
+
 
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
@@ -449,6 +465,32 @@ def test_diverging_seed_keeps_the_other_seeds(tmp_path, monkeypatch, module):
         assert error["traceback"][-1].endswith(" in diverging")
 
 
+def test_diverging_oracle_trains_once_per_seed(monkeypatch):
+    # Seed 1's retained training diverges. Its oracles at the three
+    # sparsities share that one training, so it runs once and its error
+    # stands for every seed-1 cell; seed 0 writes all of its rows.
+    train_model = oracle_module.train_model
+    seeds = []
+
+    def diverging(cache_dir, dataset, rows, dims, train_cfg, seed):
+        seeds.append(seed)
+        if seed == 1:
+            raise NumericError("training diverged on purpose")
+        return train_model(cache_dir, dataset, rows, dims, train_cfg, seed)
+
+    monkeypatch.setattr(oracle_module, "train_model", diverging)
+    report = run_experiment(parse_config_text(
+        TINY_CONFIG.replace("sparsities = 0.5", "sparsities = 0.3,0.5,0.7")
+        .replace("seeds = 0", "seeds = 0,1")))
+    assert seeds.count(1) == 1
+    assert [(e["seed"], e["sparsity"], e["method"], e["error"])
+            for e in report.errors] == [
+        (1, sparsity, method, "training diverged on purpose")
+        for sparsity in (0.3, 0.5, 0.7) for method in ("finetune", "noop")]
+    assert len(report.rows) == 18
+    assert {row.seed for row in report.rows} == {0}
+
+
 # SHA-256 of the structured grid's outputs for seed 0 without timing. A
 # change that moves these numbers must re-pin them and say why.
 STRUCTURED_SEED0_SHA256 = {
@@ -491,6 +533,33 @@ def test_tiny_unstructured_golden_output(tiny_report):
     _, _, out = tiny_report
     for name, digest in TINY_SHA256.items():
         data = (out / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# SHA-256 of MASK_CONFIG's grid outputs. A change that moves these numbers
+# must re-pin them and say why.
+MASK_SHA256 = {
+    "results.csv":
+        "2f27f514f306ae2523ade8c1aa2f1d3217d56ab0b8589eb7986ef6dc0abb3c74",
+    "results.json":
+        "97fb6e244cd820f02e4ce045648e0de5a2cbb65a66fd9318ce2e44ba90fc10f6",
+    "traces/trace_seed0_s0.8_finetune.csv":
+        "ae64fa1e131b4a8c8c3fd1d801cbba8e64eaf8270e6ec97cd4956bcca089d8e3",
+    "traces/trace_seed0_s0.8_noop.csv":
+        "6ae00fbd32cba358a9af873d22aed408b4cae2eadd5bb5dee9773865b1068cba",
+    "traces/trace_seed1_s0.8_finetune.csv":
+        "52622ce69939c4dd11c7526fb105d5e9201bb3a3e7be43914093ad10e8c91d67",
+    "traces/trace_seed1_s0.8_noop.csv":
+        "005effe085e012585848d457222f3efad498830f6f21e06724f00249eda73712",
+}
+
+
+def test_mask_config_golden_output(tmp_path):
+    report = run_experiment(parse_config_text(MASK_CONFIG), out_dir=str(tmp_path))
+    assert not report.errors
+    assert min(row.iou for row in report.rows) < 0.7
+    for name, digest in MASK_SHA256.items():
+        data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
