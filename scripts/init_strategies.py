@@ -13,8 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from unprune.config import parse_config
+from unprune.config import parse_config, parse_key
 from unprune.core import topology
+from unprune.errors import ConfigError
 from unprune.experiment import cell_oracle, cell_unprune, prepare_seed
 from unprune.metrics import MaskPair, iom
 
@@ -24,10 +25,20 @@ CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--methods", default="gradient_ascent,finetune")
+    parser.add_argument("--methods", default="",
+                        help="comma-separated unlearning methods "
+                             "(default: the config's [unlearn] methods)")
     args = parser.parse_args()
 
-    cfg = parse_config(CONFIG)
+    # The methods are checked with the config, before any model is trained.
+    try:
+        cfg = parse_config(CONFIG)
+        if args.methods:
+            methods = parse_key("unlearn", "methods", args.methods)[1]
+            cfg = replace(cfg, methods=methods).validate()
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     sparsity = cfg.sparsities[0]
     runs = {seed: prepare_seed(cfg, seed) for seed in cfg.seeds}
     oracles = {
@@ -36,7 +47,7 @@ def main():
         for seed, run in runs.items()
     }
     topo = topology(cfg.prune_mode, cfg.scope)
-    for method in args.methods.split(","):
+    for method in cfg.methods:
         for strategy in ("original", "random"):
             strategy_cfg = replace(cfg, init_strategy=strategy)
             values = []

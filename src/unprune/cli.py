@@ -37,8 +37,6 @@ from .prune import sparsity_of
 from .svg import chart_svg
 from .train import evaluate
 
-DEFAULT_MIA_RATIOS = tuple(round(0.8 + 0.05 * i, 2) for i in range(9))
-
 
 def _out_dir(cfg: ExperimentConfig, args) -> str:
     out = os.environ.get("UNPRUNE_OUT") or args.out or cfg.out_dir
@@ -156,7 +154,6 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
             cfg, seed, model_cache_dir(out))
     if test_data is None:
         raise ConfigError("mia-sweep needs held-out test data as non-members")
-    ratios = list(cfg.mia_ratios or DEFAULT_MIA_RATIOS)
     # Default non-member pool is small (about the member pool size): the
     # fragility under ratio perturbations is a small-pool phenomenon.
     n_nonmembers = args.nonmembers or min(
@@ -165,7 +162,7 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
     reports = ratio_sweep(
         model, train_data, split.forget_indices,
         test_data, np.arange(min(n_nonmembers, test_data.n)),
-        ratios, SeededRng(seed).split("mia"),
+        cfg.mia_ratios, SeededRng(seed).split("mia"),
     )
     csv_path = os.path.join(out, f"mia_sweep_seed{seed}.csv")
     sweep_to_csv(reports, csv_path)

@@ -2,15 +2,15 @@
 
 ``_KEYS`` is the schema: one row per key names the field it sets and how
 its text parses. Unknown sections or keys are hard errors so sweep
-definitions cannot drift silently. Per-method unlearning overrides live in
-nested tables like ``[unlearn.gradient_ascent]``.
+definitions cannot drift silently. Each ``[unlearn.<method>]`` table takes
+exactly the keys that ``unlearn.METHODS`` lists for its method.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import UnpruneConfig, topology
 from .errors import ConfigError
@@ -48,10 +48,11 @@ class ExperimentConfig:
     random_init_std: float = 0.01
     # unlearning grid
     methods: tuple[str, ...] = ("gradient_ascent", "finetune")
-    unlearn_defaults: UnlearnConfig = field(default_factory=UnlearnConfig)
-    unlearn_overrides: dict = field(default_factory=dict)
+    # {method: {key: value}}, from the [unlearn.<method>] tables
+    unlearn_settings: dict = field(default_factory=dict)
     # mia
-    mia_ratios: tuple[float, ...] = ()
+    mia_ratios: tuple[float, ...] = tuple(round(0.8 + 0.05 * i, 2)
+                                          for i in range(9))
     # run
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     out_dir: str = "results"
@@ -72,19 +73,22 @@ class ExperimentConfig:
         if not (math.isfinite(self.train.lr) and self.train.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.train.lr}")
         topology(self.prune_mode, self.scope)
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if not self.sparsities:
-            raise ConfigError("sparsities must be nonempty")
+        # A repeated entry would run (or sweep) the same thing twice.
+        for name in ("seeds", "sparsities", "methods", "mia_ratios"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must be nonempty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"repeated entry in {name}: {values}")
         for s in self.sparsities:
             if not 0.0 < s < 1.0:
                 raise ConfigError(f"sparsity {s} outside (0, 1)")
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
-        # Every (method, sparsity) cell's loop settings, before any training.
+        # Every cell's loop settings and every method table, before training.
         for m in self.methods:
             for s in self.sparsities:
                 self.unprune_config(m, s).validate()
+        for m in self.unlearn_settings:
+            self.unlearn_config(m).validate()
         if not 0.0 < self.delete_ratio < 1.0:
             raise ConfigError(f"delete ratio {self.delete_ratio} outside (0, 1)")
         for name in ("jobs", "imp_rounds"):
@@ -93,8 +97,7 @@ class ExperimentConfig:
         return self
 
     def unlearn_config(self, method: str) -> UnlearnConfig:
-        cfg = replace(self.unlearn_defaults, method=method)
-        return replace(cfg, **self.unlearn_overrides.get(method, {}))
+        return UnlearnConfig(method, **self.unlearn_settings.get(method, {}))
 
     def unprune_config(self, method: str, sparsity: float) -> UnpruneConfig:
         return UnpruneConfig(
@@ -119,15 +122,11 @@ def _csv(item):
                              if v.strip())
 
 
-_UNLEARN_ROWS = {
-    "steps": ("unlearn_defaults.steps", int),
-    "rate": ("unlearn_defaults.rate", float),
-    "fisher_noise_scale": ("unlearn_defaults.fisher_noise_scale", float),
-}
+_UNLEARN_PARSE = {"steps": int, "rate": float, "fisher_noise_scale": float}
 
 # The schema of the config file: _KEYS[section][key] = (field, parse), where
-# field is an ExperimentConfig attribute path. In an [unlearn.<method>]
-# table the unlearn rows set that method's override, not the default.
+# field is an ExperimentConfig attribute path; in an [unlearn.<method>]
+# table it is unlearn_settings.<method>.<key>.
 _KEYS: dict[str, dict[str, tuple]] = {
     "dataset": {"kind": ("dataset_kind", str),
                 "classes": ("classes", int),
@@ -152,8 +151,10 @@ _KEYS: dict[str, dict[str, tuple]] = {
                 "iterations": ("iterations", int),
                 "init": ("init_strategy", str),
                 "random_init_std": ("random_init_std", float)},
-    "unlearn": {"methods": ("methods", _csv(str)), **_UNLEARN_ROWS},
-    **{f"unlearn.{method}": _UNLEARN_ROWS for method in METHODS},
+    "unlearn": {"methods": ("methods", _csv(str))},
+    **{f"unlearn.{method}": {key: (f"unlearn_settings.{method}.{key}",
+                                   _UNLEARN_PARSE[key]) for key in keys}
+       for method, keys in METHODS.items()},
     "mia": {"ratios": ("mia_ratios", _csv(float))},
     "run": {"seeds": ("seeds", _csv(int)),
             "out": ("out_dir", str),
@@ -180,8 +181,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
-    kw: dict[str, dict] = {"": {}, "train": {}, "unlearn_defaults": {}}
-    overrides: dict = {}
+    kw: dict[str, dict] = {"": {}, "train": {}}
+    settings: dict = {}
     for section in parser.sections():
         if section not in _KEYS:
             kind = "method " if section.startswith("unlearn.") else ""
@@ -191,16 +192,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
             field_path, value = parse_key(section, key, raw)
             owner, _, name = field_path.rpartition(".")
             if method:
-                overrides.setdefault(method, {})[name] = value
+                settings.setdefault(method, {})[name] = value
             else:
                 kw[owner][name] = value
 
-    cfg = ExperimentConfig(
-        train=TrainCfg(**kw["train"]),
-        unlearn_defaults=UnlearnConfig(**kw["unlearn_defaults"]),
-        unlearn_overrides=overrides,
-        **kw[""],
-    )
+    cfg = ExperimentConfig(train=TrainCfg(**kw["train"]),
+                           unlearn_settings=settings, **kw[""])
     return cfg.validate()
 
 

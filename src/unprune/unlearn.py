@@ -26,7 +26,11 @@ from .numeric import (SeededRng, _cross_entropy_rows, _true_class_index,
                       blas_scope, matmul, softmax)
 from .train import sgd_step
 
-METHODS = ("noop", "gradient_ascent", "fisher_forgetting", "finetune")
+# The methods and the UnlearnConfig fields each one reads: its config table
+# [unlearn.<method>] takes exactly these keys, and validate checks only these.
+METHODS = {"noop": (), "gradient_ascent": ("steps", "rate"),
+           "fisher_forgetting": ("fisher_noise_scale",),
+           "finetune": ("steps", "rate")}
 
 FISHER_EPS = 1e-8  # stabilizer against division by zero on dead parameters
 
@@ -41,11 +45,14 @@ class UnlearnConfig:
     def validate(self) -> "UnlearnConfig":
         if self.method not in METHODS:
             raise ConfigError(f"unknown unlearning method {self.method!r}")
-        if self.method != "noop":
-            if self.steps < 1:
-                raise ConfigError("steps must be >= 1 for non-noop methods")
-            if self.rate <= 0 and self.method != "fisher_forgetting":
-                raise ConfigError("rate must be > 0 for gradient-based methods")
+        reads, m = METHODS[self.method], self.method
+        if "steps" in reads and not self.steps >= 1:
+            raise ConfigError(f"{m} steps must be >= 1, got {self.steps}")
+        if "rate" in reads and not self.rate > 0:
+            raise ConfigError(f"{m} rate must be > 0, got {self.rate}")
+        if "fisher_noise_scale" in reads and not self.fisher_noise_scale >= 0:
+            raise ConfigError(f"{m} fisher_noise_scale must be >= 0, "
+                              f"got {self.fisher_noise_scale}")
         return self
 
 
@@ -154,8 +161,6 @@ def unlearn(
 ) -> MaskedModel:
     """Dispatch to the configured method; deterministic under the given rng."""
     config.validate()
-    if config.method == "noop":
-        return model
     if config.method == "gradient_ascent":
         return unlearn_gradient_ascent(
             model, dataset, split.forget_indices, config.steps, config.rate
@@ -169,4 +174,4 @@ def unlearn(
         return unlearn_finetune(
             model, dataset, split.retain_indices, config.steps, config.rate
         )
-    raise ConfigError(f"unknown unlearning method {config.method!r}")
+    return model  # noop

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from unprune.cli import DEFAULT_MIA_RATIOS
 from unprune.core import UnpruneConfig, unprune
 from unprune.data import gen_blobs, split_delete
 from unprune.experiment import (
@@ -306,7 +305,7 @@ def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
     run = ref_runs[0]
     reports = ratio_sweep(
         run.dense, run.train_data, run.split.forget_indices,
-        run.test_data, np.arange(40), DEFAULT_MIA_RATIOS,
+        run.test_data, np.arange(40), ref_cfg.mia_ratios,
         SeededRng(0).split("mia"),
     )
     corr = [r.correctness for r in reports]

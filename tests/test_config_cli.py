@@ -2,6 +2,7 @@ import configparser
 import functools
 import hashlib
 import os
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import fields, replace
@@ -73,11 +74,10 @@ iterations = 2
 
 [unlearn]
 methods = noop,finetune
-steps = 3
-rate = 0.05
 
 [unlearn.finetune]
 steps = 5
+rate = 0.05
 
 [run]
 seeds = 0
@@ -122,8 +122,9 @@ def test_bad_values_rejected():
         parse_config_text("[train]\nepochs = many\n")
     with pytest.raises(ConfigError):
         parse_config_text("[prune]\nsparsities = 1.5\n")
-    with pytest.raises(ConfigError):
-        parse_config_text("[run]\nseeds =\n")
+    for section, key in (("run", "seeds"), ("mia", "ratios")):
+        with pytest.raises(ConfigError, match="must be nonempty"):
+            parse_config_text(f"[{section}]\n{key} =\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("[run]\njobs = 2\n")
     for name in ("jobs", "imp_rounds"):
@@ -149,6 +150,14 @@ def test_imp_rounds_key_rejected():
     for rounds in (0, 1, 3):
         with pytest.raises(ConfigError, match=ORACLE_GONE):
             parse_config_text(f"[oracle]\nimp_rounds = {rounds}\n")
+
+
+def _method_table(i, method):
+    """[unlearn.<method>] with method i's own value for each key it reads."""
+    values = {"steps": 11 + i, "rate": f"0.{5 + i}",
+              "fisher_noise_scale": f"0.00{5 + i}"}
+    return f"\n[unlearn.{method}]\n" + "".join(
+        f"{key} = {values[key]}\n" for key in METHODS[method])
 
 
 # Every key of the schema, each set to a value other than its default.
@@ -189,9 +198,6 @@ random_init_std = 0.02
 
 [unlearn]
 methods = finetune,noop
-steps = 7
-rate = 0.02
-fisher_noise_scale = 0.003
 
 [mia]
 ratios = 0.5,0.9
@@ -200,10 +206,7 @@ ratios = 0.5,0.9
 seeds = 3,4
 out = elsewhere
 record_timing = false
-""" + "".join(
-    f"\n[unlearn.{m}]\nsteps = {11 + i}\nrate = 0.{5 + i}\n"
-    f"fisher_noise_scale = 0.00{5 + i}\n"
-    for i, m in enumerate(METHODS))
+""" + "".join(_method_table(i, m) for i, m in enumerate(METHODS))
 
 
 def _field(cfg, section, field_path):
@@ -234,23 +237,50 @@ def test_every_key_lands_in_its_field():
 def test_each_field_has_one_key():
     paths = Counter(path for rows in _KEYS.values()
                     for path, _ in rows.values())
-    nested = {"train", "unlearn_defaults", "unlearn_overrides", "jobs",
-              "imp_rounds"}
+    nested = {"train", "unlearn_settings", "jobs", "imp_rounds"}
     top = {f.name for f in fields(ExperimentConfig)} - nested
     assert ({p: n for p, n in paths.items() if "." not in p}
             == dict.fromkeys(top, 1))
     assert {p for p in paths if p.startswith("train.")} == {
         f"train.{f.name}" for f in fields(TrainCfg)}
-    assert {p for p in paths if p.startswith("unlearn_defaults.")} == {
-        f"unlearn_defaults.{f.name}" for f in fields(UnlearnConfig)
-        if f.name != "method"}
+    # Each method's table sets the settings unlearn.METHODS lists for it,
+    # and every UnlearnConfig setting is read by some method.
+    assert {p for p in paths if p.startswith("unlearn_settings.")} == {
+        f"unlearn_settings.{m}.{key}" for m, keys in METHODS.items()
+        for key in keys}
+    assert {key for keys in METHODS.values() for key in keys} == set(
+        UNLEARN_SETTINGS)
 
 
 def test_per_method_overrides():
+    # A method's table sets its settings; a method without a table keeps
+    # UnlearnConfig's defaults.
     cfg = parse_config_text(TINY_CONFIG)
-    assert cfg.unlearn_config("noop").steps == 3
-    assert cfg.unlearn_config("finetune").steps == 5
-    assert cfg.unlearn_config("finetune").rate == 0.05
+    assert cfg.unlearn_settings == {"finetune": {"steps": 5, "rate": 0.05}}
+    assert cfg.unlearn_config("finetune") == UnlearnConfig(
+        "finetune", steps=5, rate=0.05)
+    assert cfg.unlearn_config("noop") == UnlearnConfig("noop")
+
+
+# A valid value other than the default for each UnlearnConfig setting.
+UNLEARN_SETTINGS = {"steps": "2", "rate": "0.02", "fisher_noise_scale": "0.002"}
+
+
+@pytest.mark.parametrize("key", UNLEARN_SETTINGS)
+@pytest.mark.parametrize("section",
+                         ["unlearn", *(f"unlearn.{m}" for m in METHODS)])
+def test_a_table_takes_a_setting_iff_its_method_reads_it(section, key):
+    # [unlearn] holds only the method list, and no method table takes a key
+    # that its method would ignore.
+    method = section.partition(".")[2]
+    text = f"[{section}]\n{key} = {UNLEARN_SETTINGS[key]}\n"
+    if key in METHODS.get(method, ()):
+        value = getattr(parse_config_text(text).unlearn_config(method), key)
+        assert value == float(UNLEARN_SETTINGS[key])
+    else:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown key '{key}' in [{section}]")):
+            parse_config_text(text)
 
 
 @pytest.fixture(scope="module")
@@ -308,11 +338,31 @@ def test_json_round_trip(tiny_report, tmp_path):
 
 
 def test_rerun_is_byte_identical(tiny_report, tmp_path):
+    # With timing off a second out dir gets the same results and traces.
+    # Its model cache entries differ only in their wall= header line, the
+    # measured wall time of the build, which lies outside that contract.
     cfg, _, out = tiny_report
     second = tmp_path / "again"
     run_experiment(cfg, out_dir=str(second))
-    assert (second / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
-    assert (second / "results.json").read_bytes() == (out / "results.json").read_bytes()
+    names = ["results.csv", "results.json",
+             *(f"traces/{n}" for n in sorted(os.listdir(out / "traces")))]
+    assert sorted(os.listdir(second / "traces")) == sorted(
+        os.listdir(out / "traces"))
+    for name in names:
+        assert (second / name).read_bytes() == (out / name).read_bytes(), name
+    entries = sorted(os.listdir(out / "oracle_cache"))
+    assert entries and sorted(os.listdir(second / "oracle_cache")) == entries
+
+    def without_wall(path):
+        header, end, blocks = path.read_bytes().partition(b"end-header\n")
+        lines = header.split(b"\n")
+        assert sum(line.startswith(b"wall=") for line in lines) == 1
+        return [line for line in lines
+                if not line.startswith(b"wall=")], blocks
+
+    for name in entries:
+        assert without_wall(second / "oracle_cache" / name) == without_wall(
+            out / "oracle_cache" / name), name
 
 
 def _counting(calls, name, fn):
@@ -706,12 +756,22 @@ BAD_UNPRUNE = [
     ("epochs = 40", "epochs = 0", "epochs must be >= 1"),
     ("lr = 0.3", "lr = -1.0", "lr must be finite and >= 0"),
     ("lr = 0.3", "lr = nan", "lr must be finite and >= 0"),
+    ("methods = noop,finetune", "methods = noop,fisher_forgetting\n\n"
+     "[unlearn.fisher_forgetting]\nfisher_noise_scale = -1",
+     "fisher_forgetting fisher_noise_scale must be >= 0"),
+    # A method table is checked even when the grid does not run its method:
+    # `unprune --method` can still pick it.
+    ("[run]", "[unlearn.fisher_forgetting]\nfisher_noise_scale = -1\n\n[run]",
+     "fisher_forgetting fisher_noise_scale must be >= 0"),
+    ("steps = 5", "steps = 0", "finetune steps must be >= 1"),
+    ("rate = 0.05", "rate = 0", "finetune rate must be > 0"),
 ]
 
 
 @pytest.mark.parametrize("old, new, error", BAD_UNPRUNE,
                          ids=["iterations", "underflow", "random_init_std",
-                              "epochs", "lr", "lr_nan"])
+                              "epochs", "lr", "lr_nan", "fisher_noise_scale",
+                              "unused_method_table", "steps", "rate"])
 def test_bad_unprune_settings_rejected_before_training(
         tmp_path, monkeypatch, capsys, old, new, error):
     text = TINY_CONFIG.replace(old, new)
@@ -768,6 +828,31 @@ def test_empty_method_list_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: methods must be nonempty\n"
 
 
+@pytest.mark.parametrize("old, new", [
+    ("seeds = 0", "seeds = 0,0"),
+    ("sparsities = 0.5", "sparsities = 0.5,0.50"),
+    ("methods = noop,finetune", "methods = finetune,noop,finetune"),
+    ("[run]", "[mia]\nratios = 0.9,1.0,0.9\n\n[run]"),
+], ids=["seeds", "sparsities", "methods", "mia_ratios"])
+def test_repeated_list_entry_rejected_before_training(tmp_path, monkeypatch,
+                                                      capsys, old, new):
+    # A repeated seed, sparsity or method would run its cells twice, write
+    # their rows twice and their traces once; a repeated ratio would sweep
+    # one point twice.
+    text = TINY_CONFIG.replace(old, new)
+    with pytest.raises(ConfigError, match="repeated entry in"):
+        parse_config_text(text)
+    calls = []
+    monkeypatch.setattr(train_module, "train_sgd", _counting(
+        calls, "train", train_module.train_sgd))
+    config_path = tmp_path / "repeat.ini"
+    config_path.write_text(text)
+    assert main(["run", "--config", str(config_path), "--out",
+                 str(tmp_path / "o")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("config error: repeated entry")
+
+
 def test_cli_unknown_method_rejected_before_work(tmp_path, monkeypatch,
                                                  capsys):
     def no_work(*args, **kwargs):
@@ -783,7 +868,7 @@ def test_cli_unknown_method_rejected_before_work(tmp_path, monkeypatch,
         "config error: unknown unlearning method 'bogus'\n")
 
 
-@pytest.mark.parametrize("seeds", ["0,x", ","])
+@pytest.mark.parametrize("seeds", ["0,x", ",", "0,1,0"])
 def test_cli_malformed_seeds_are_a_config_error(tmp_path, monkeypatch, capsys,
                                                 seeds):
     def no_work(*args, **kwargs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unprune.cli import DEFAULT_MIA_RATIOS
+from unprune.config import ExperimentConfig
 from unprune.data import Dataset, gen_blobs, split_delete
 from unprune.errors import InputError
 from unprune.mia import (
@@ -21,6 +21,9 @@ from unprune.model import init_model, mlp_specs
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.train import TrainCfg, train_with_cfg
+
+# The sweep's default shadow ratios, 0.80 to 1.20.
+MIA_RATIOS = ExperimentConfig().mia_ratios
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +103,7 @@ def test_evaluate_degenerate_inputs_rejected(trained):
 def test_ratio_sweep_counts_and_repeatability(trained):
     model, train, test, split = trained
     reports = ratio_sweep(model, train, split.forget_indices, test,
-                          np.arange(60), DEFAULT_MIA_RATIOS, SeededRng(5))
+                          np.arange(60), MIA_RATIOS, SeededRng(5))
     assert len(reports) == 9
     # Identical ratios reproduce identical reports regardless of position.
     again = ratio_sweep(model, train, split.forget_indices, test,
@@ -198,7 +201,7 @@ def test_fit_threshold_equals_loop(values, sizes, data):
 def test_sweep_csv_golden(tmp_path, trained):
     model, train, test, split = trained
     reports = ratio_sweep(model, train, split.forget_indices, test,
-                          np.arange(60), DEFAULT_MIA_RATIOS, SeededRng(5))
+                          np.arange(60), MIA_RATIOS, SeededRng(5))
     path = tmp_path / "sweep.csv"
     sweep_to_csv(reports, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (

@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from test_config_cli import MASK_CONFIG
+import unprune.train as train_module
+from test_config_cli import MASK_CONFIG, _counting
 from unprune.config import parse_config
 from unprune.experiment import run_experiment
 
@@ -87,6 +88,20 @@ def test_init_strategies_original_is_the_grid_finetune_iom(
     assert f"mean IoM={mean:.4f} " in line
     # The two inits reach the same mean on this config, but not per seed.
     assert line.endswith(f"per-seed {[f'{row.iom:.4f}' for row in rows]}")
+
+
+def test_init_strategies_rejects_a_bad_method_before_training(
+        tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "mask.ini"
+    config_path.write_text(MASK_CONFIG)
+    calls = []
+    monkeypatch.setattr(train_module, "train_sgd", _counting(
+        calls, "train", train_module.train_sgd))
+    assert _run_script("init_strategies.py", ["--methods", "bogus"],
+                       monkeypatch, config_path) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "config error: unknown unlearning method 'bogus'\n")
 
 
 def test_step_timing_prints_one_row_per_shipped_step(monkeypatch, capsys):

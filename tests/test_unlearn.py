@@ -201,11 +201,20 @@ def test_finetune_full_batch_descent_monotone(task):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        UnlearnConfig(method="gradient_ascent", steps=0).validate()
-    with pytest.raises(ConfigError):
-        UnlearnConfig(method="finetune", rate=0.0).validate()
-    UnlearnConfig(method="noop").validate()
+    # Only the settings a method reads are checked: Fisher scrubbing reads
+    # neither steps nor rate, noop reads nothing, and the step loops ignore
+    # the noise scale.
+    UnlearnConfig("fisher_forgetting", steps=0, rate=-5.0).validate()
+    UnlearnConfig("noop", steps=0, rate=-5.0, fisher_noise_scale=-1.0).validate()
+    for method in ("gradient_ascent", "finetune"):
+        UnlearnConfig(method, fisher_noise_scale=-1.0).validate()
+        for bad in ({"steps": 0}, {"rate": 0.0}, {"rate": float("nan")}):
+            with pytest.raises(ConfigError, match=f"{method} "):
+                UnlearnConfig(method, **bad).validate()
+    for scale in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="fisher_noise_scale must be >= 0"):
+            UnlearnConfig("fisher_forgetting",
+                          fisher_noise_scale=scale).validate()
 
 
 def test_empty_row_sets_rejected(task):
