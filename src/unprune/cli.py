@@ -32,7 +32,7 @@ from .experiment import (
 )
 from .mia import CHANNELS, ratio_sweep, sweep_to_csv
 from .model import load_snapshot, save_snapshot
-from .numeric import SeededRng
+from .numeric import SeededRng, round_count
 from .prune import sparsity_of
 from .svg import chart_svg
 from .train import evaluate
@@ -146,22 +146,29 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
 def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
-    if args.model:
-        model = load_snapshot(args.model)
-        train_data, test_data, split = build_data(cfg, seed)
-    else:
-        train_data, test_data, split, model, *_ = prepare_seed(
-            cfg, seed, model_cache_dir(out))
+    train_data, test_data, split = build_data(cfg, seed)
     if test_data is None:
         raise ConfigError("mia-sweep needs held-out test data as non-members")
     # Default non-member pool is small (about the member pool size): the
     # fragility under ratio perturbations is a small-pool phenomenon.
-    n_nonmembers = args.nonmembers or min(
-        2 * len(split.forget_indices), test_data.n
-    )
+    pool = min(args.nonmembers or 2 * len(split.forget_indices), test_data.n)
+    # Each attack fits on one half and scores on the other, so it needs at
+    # least 2 non-members and 2 members at every ratio; check before training.
+    if pool < 2:
+        raise ConfigError(
+            f"--nonmembers: need a pool of at least 2 non-members, got {pool}")
+    for r in cfg.mia_ratios:
+        members = round_count(r * pool)
+        if members < 2:
+            raise ConfigError(
+                f"--nonmembers: {pool} non-members at ratio {r:g} give a "
+                f"member count of {members}; need at least 2")
+    if args.model:
+        model = load_snapshot(args.model)
+    else:
+        model = prepare_seed(cfg, seed, model_cache_dir(out)).dense
     reports = ratio_sweep(
-        model, train_data, split.forget_indices,
-        test_data, np.arange(min(n_nonmembers, test_data.n)),
+        model, train_data, split.forget_indices, test_data, np.arange(pool),
         cfg.mia_ratios, SeededRng(seed).split("mia"),
     )
     csv_path = os.path.join(out, f"mia_sweep_seed{seed}.csv")

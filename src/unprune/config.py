@@ -83,6 +83,9 @@ class ExperimentConfig:
         for s in self.sparsities:
             if not 0.0 < s < 1.0:
                 raise ConfigError(f"sparsity {s} outside (0, 1)")
+        for r in self.mia_ratios:
+            if not (math.isfinite(r) and r > 0):
+                raise ConfigError(f"[mia] ratios: {r} is not finite and > 0")
         # Every cell's loop settings and every method table, before training.
         for m in self.methods:
             for s in self.sparsities:

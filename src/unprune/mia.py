@@ -45,11 +45,15 @@ class MIAReport:
 def mia_features(
     model: MaskedModel, dataset: Dataset, rows: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Per-sample attack features.
+    """Per-sample attack features: one array per channel of ``CHANNELS``,
+    each with one entry per row of ``rows``.
 
-    entropy   = -sum_k p_k log p_k
-    m_entropy = -(1 - p_y) log p_y - sum_{k != y} p_k log(1 - p_k)
-                (label-aware modified entropy; 0 for a confident correct hit)
+    correctness = 1 where the argmax class is the label y, else 0
+    confidence  = max_k p_k
+    entropy     = -sum_k p_k log p_k
+    m_entropy   = -(1 - p_y) log p_y - sum_{k != y} p_k log(1 - p_k)
+                  (label-aware modified entropy; 0 for a confident correct hit)
+    probability = p_y
     """
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
@@ -63,7 +67,6 @@ def mia_features(
     m_entropy = -(1.0 - p_true) * log_p[idx, y]
     m_entropy -= (p * log_1mp).sum(axis=1) - p_true * log_1mp[idx, y]
     return {
-        "softmax": p,
         "correctness": (np.argmax(p, axis=1) == y).astype(np.float64),
         "confidence": p.max(axis=1),
         "entropy": -(p * log_p).sum(axis=1),

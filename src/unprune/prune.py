@@ -16,21 +16,10 @@ from .numeric import round_count
 
 
 @dataclass(frozen=True)
-class LayerSparsity:
-    layer: int
-    total: int
-    zeros: int
-
-    @property
-    def sparsity(self) -> float:
-        return self.zeros / self.total
-
-
-@dataclass(frozen=True)
 class SparsityReport:
+    """Zero mask entries over all weight mask entries, biases excluded."""
     total_weights: int
     zero_mask_entries: int
-    per_layer: tuple[LayerSparsity, ...]
 
     @property
     def sparsity(self) -> float:
@@ -38,15 +27,11 @@ class SparsityReport:
 
 
 def sparsity_of(model: MaskedModel) -> SparsityReport:
-    """Exact zero counts over weight mask entries (biases excluded)."""
-    per_layer = []
-    for i, m in enumerate(model.masks):
-        per_layer.append(LayerSparsity(i, m.size, int(m.size - m.sum())))
-    return SparsityReport(
-        total_weights=sum(p.total for p in per_layer),
-        zero_mask_entries=sum(p.zeros for p in per_layer),
-        per_layer=tuple(per_layer),
-    )
+    """Exact zero count over the weight masks of all layers (biases
+    excluded). One layer's count is ``m.size - m.sum()`` of its mask."""
+    total = sum(m.size for m in model.masks)
+    zeros = sum(int(m.size - m.sum()) for m in model.masks)
+    return SparsityReport(total_weights=total, zero_mask_entries=zeros)
 
 
 def _smallest(scores: np.ndarray, candidates: np.ndarray,

@@ -853,6 +853,47 @@ def test_repeated_list_entry_rejected_before_training(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("config error: repeated entry")
 
 
+@pytest.mark.parametrize("ratios", ["0,-1", "inf", "nan"],
+                         ids=["nonpositive", "inf", "nan"])
+def test_bad_mia_ratios_rejected_before_training(tmp_path, monkeypatch,
+                                                 capsys, ratios):
+    # A ratio sets the member count round(ratio * pool), so it must be a
+    # finite number > 0.
+    text = TINY_CONFIG.replace("[run]", f"[mia]\nratios = {ratios}\n\n[run]")
+    calls = []
+    monkeypatch.setattr(train_module, "train_sgd", _counting(
+        calls, "train", train_module.train_sgd))
+    config_path = tmp_path / "ratios.ini"
+    config_path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["mia-sweep", "--config", str(config_path), "--out",
+                 str(out)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("config error: [mia] ratios: ")
+    assert list(out.glob("oracle_cache/*")) == []
+
+
+@pytest.mark.parametrize("nonmembers, ratios, error", [
+    ("-5", "", "need a pool of at least 2 non-members, got -5"),
+    ("1", "", "need a pool of at least 2 non-members, got 1"),
+    ("2", "[mia]\nratios = 1.0,0.5\n\n",
+     "2 non-members at ratio 0.5 give a member count of 1; need at least 2"),
+], ids=["negative", "one", "too_few_members"])
+def test_cli_mia_sweep_nonmembers_checked_before_training(
+        tmp_path, monkeypatch, capsys, nonmembers, ratios, error):
+    calls = []
+    monkeypatch.setattr(train_module, "train_sgd", _counting(
+        calls, "train", train_module.train_sgd))
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG.replace("[run]", ratios + "[run]"))
+    out = tmp_path / "o"
+    assert main(["mia-sweep", "--config", str(config_path), "--out", str(out),
+                 "--nonmembers", nonmembers]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == f"config error: --nonmembers: {error}\n"
+    assert list(out.glob("oracle_cache/*")) == []
+
+
 def test_cli_unknown_method_rejected_before_work(tmp_path, monkeypatch,
                                                  capsys):
     def no_work(*args, **kwargs):

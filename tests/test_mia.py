@@ -63,6 +63,7 @@ def test_features_deterministic(trained):
     model, train, _, split = trained
     a = mia_features(model, train, split.forget_indices)
     b = mia_features(model, train, split.forget_indices)
+    assert set(a) == set(CHANNELS)
     for key in a:
         assert np.array_equal(a[key], b[key])
 

@@ -57,8 +57,8 @@ def test_magnitude_exact_count_on_thousand_weights():
 def test_magnitude_per_layer_scope():
     model = init_model(mlp_specs([10, 50, 10]), SeededRng(2))
     prune_magnitude(model, 0.6, scope="per_layer")
-    for layer in sparsity_of(model).per_layer:
-        assert layer.zeros == 300  # round(0.6 * 500) in each layer
+    for m in model.masks:
+        assert m.size - m.sum() == 300  # round(0.6 * 500) in each layer
 
 
 def test_magnitude_tie_break_lowest_flat_index():
@@ -97,7 +97,7 @@ def test_structured_count_on_2_4_2():
     model = init_model(mlp_specs([2, 4, 2]), SeededRng(6))
     prune_structured_l2(model, 0.25)  # one of four hidden neurons
     report = sparsity_of(model)
-    assert report.per_layer[0].zeros == 2  # the neuron's two incoming weights
+    assert model.masks[0].size - model.masks[0].sum() == 2  # its two inputs
     assert report.total_weights == 16
     assert report.zero_mask_entries == 2
 
@@ -117,7 +117,7 @@ def test_sparsity_report_fresh_and_after_prune():
     prune_magnitude(model, 0.6)
     report = sparsity_of(model)
     assert abs(report.sparsity - 0.6) <= 1.0 / report.total_weights
-    assert sum(l.zeros for l in report.per_layer) == report.zero_mask_entries
+    assert sum(m.size - m.sum() for m in model.masks) == report.zero_mask_entries
 
 
 def test_neuron_mask_tracks_structured_pruning():

@@ -1,6 +1,7 @@
 """Each script in scripts/ imports and parses its arguments, and runs end to
 end: the studies on the mask-test config with the same numbers the grid
-writes, the step timing on the shipped configs."""
+writes, the step timing on the shipped configs. Each module of the package
+imports on its own in a fresh interpreter."""
 
 import csv
 import importlib.util
@@ -27,6 +28,31 @@ def test_script_help(name):
     result = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, name), "--help"],
         env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+# Imports each named module of the package with no unprune module loaded.
+IMPORT_ALONE = """
+import importlib, sys
+for name in sys.argv[1:]:
+    for key in [k for k in sys.modules if k.split(".")[0] == "unprune"]:
+        del sys.modules[key]
+    importlib.import_module("unprune." + name)
+"""
+
+
+def test_each_module_imports_on_its_own():
+    # The package root imports nothing, so a fresh import of one module runs
+    # only that module's own imports: an import cycle fails here, whatever
+    # order the rest of the suite imports the modules in.
+    src = os.path.join(ROOT, "src")
+    modules = sorted(n[:-3] for n in os.listdir(os.path.join(src, "unprune"))
+                     if n.endswith(".py") and n != "__init__.py")
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_ALONE, *modules],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
 
