@@ -40,19 +40,21 @@ def main():
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     sparsity = cfg.sparsities[0]
+    topo = topology(cfg.prune_mode, cfg.scope)
     runs = {seed: prepare_seed(cfg, seed) for seed in cfg.seeds}
+    pruned = {seed: topo.prune(run.dense, sparsity)
+              for seed, run in runs.items()}
     oracles = {
         seed: cell_oracle(cfg, seed, sparsity, run.train_data, run.split,
                           None)[0]
         for seed, run in runs.items()
     }
-    topo = topology(cfg.prune_mode, cfg.scope)
     for method in cfg.methods:
         for strategy in ("original", "random"):
             strategy_cfg = replace(cfg, init_strategy=strategy)
             values = []
             for seed, run in runs.items():
-                model = run.pruned[sparsity].clone()
+                model = pruned[seed].clone()
                 cell_unprune(strategy_cfg, seed, sparsity, method, model,
                              run.train_data, run.test_data, run.split)
                 values.append(iom(MaskPair(topo.kept(model),

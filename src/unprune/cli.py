@@ -78,12 +78,9 @@ def cmd_prune(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     seed = cfg.seeds[0]
     sparsity = cfg.sparsities[0]
-    if args.model:
-        model = load_snapshot(args.model)
-        _prune_to(model, cfg, sparsity)
-    else:
-        model = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed,
-                             model_cache_dir(out)).pruned[sparsity]
+    model = (load_snapshot(args.model) if args.model else
+             prepare_seed(cfg, seed, model_cache_dir(out)).dense)
+    _prune_to(model, cfg, sparsity)
     report = sparsity_of(model)
     snap = os.path.join(out, f"pruned_seed{seed}_s{sparsity:g}.bin")
     save_snapshot(model, snap)
@@ -111,9 +108,8 @@ def cmd_unprune(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     sparsity = cfg.sparsities[0]
     method = cfg.methods[0]
-    setup = prepare_seed(replace(cfg, sparsities=(sparsity,)), seed,
-                         model_cache_dir(out))
-    model = setup.pruned[sparsity]
+    setup = prepare_seed(cfg, seed, model_cache_dir(out))
+    model = _prune_to(setup.dense, cfg, sparsity)
     trace = cell_unprune(cfg, seed, sparsity, method, model, setup.train_data,
                          setup.test_data, setup.split)
     snap = os.path.join(out, f"unpruned_seed{seed}_s{sparsity:g}_{method}.bin")
@@ -151,7 +147,8 @@ def cmd_mia_sweep(cfg: ExperimentConfig, args) -> int:
         raise ConfigError("mia-sweep needs held-out test data as non-members")
     # Default non-member pool is small (about the member pool size): the
     # fragility under ratio perturbations is a small-pool phenomenon.
-    pool = min(args.nonmembers or 2 * len(split.forget_indices), test_data.n)
+    pool = min(2 * len(split.forget_indices) if args.nonmembers is None
+               else args.nonmembers, test_data.n)
     # Each attack fits on one half and scores on the other, so it needs at
     # least 2 non-members and 2 members at every ratio; check before training.
     if pool < 2:
@@ -238,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("prune", "evaluate", "mia-sweep"):
             p.add_argument("--model", default="")
         if name == "mia-sweep":
-            p.add_argument("--nonmembers", type=int, default=0)
+            p.add_argument("--nonmembers", type=int, default=None)
         if name == "evaluate":
             p.add_argument("--ref", default="")
         if name == "plot":
@@ -258,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, FormatError, NumericError) as exc:
+    except (InputError, FormatError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

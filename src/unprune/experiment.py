@@ -1,14 +1,14 @@
 """Experiment orchestration: the full (seed x method x sparsity) grid.
 
-Per seed (``prepare_seed``): build the data, train (or load) the original
-model on the full data and prune one clone per sparsity. Then build (or
-load) the retrain+reprune oracle, then run every unlearning method through
-the un-pruning loop and score the result against both the oracle and the
-original. A failed cell, or a seed or oracle whose training diverges,
-becomes one ``errors`` entry per cell it stopped; the other cells' rows
-are kept. Rows are sorted before emission so the output never depends on
-execution order, and with timing recording disabled two runs of the same
-config produce byte-identical files.
+Per seed (``prepare_seed``): build the data and train (or load) the
+original model on the full data. Per sparsity: prune a clone of it, build
+(or load) the retrain+reprune oracle, then run every unlearning method
+through the un-pruning loop and score the result against both the oracle
+and the original. A failed cell, or a seed or oracle whose training
+diverges, becomes one ``errors`` entry per cell it stopped; the other
+cells' rows are kept. Rows are sorted before emission so the output never
+depends on execution order, and with timing recording disabled two runs
+of the same config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .config import ExperimentConfig
 from .core import UnpruneTrace, topology, ua_ta, unprune
 from .data import (Dataset, DeletionSplit, gen_blobs, load_idx,
                    split_delete, write_csv)
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from .model import MaskedModel
 from .numeric import SeededRng
@@ -101,25 +101,25 @@ def build_data(cfg: ExperimentConfig, seed: int
     return train, test, split
 
 
-def _prune_to(model: MaskedModel, cfg: ExperimentConfig, sparsity: float) -> None:
-    topology(cfg.prune_mode, cfg.scope).prune(model, sparsity)
+def _prune_to(model: MaskedModel, cfg: ExperimentConfig, sparsity: float
+              ) -> MaskedModel:
+    """Prune ``model`` in place to ``sparsity`` as the grid does; returns it."""
+    return topology(cfg.prune_mode, cfg.scope).prune(model, sparsity)
 
 
 class SeedSetup(NamedTuple):
-    """One seed before un-pruning: its data, the dense model, pruned clones."""
+    """One seed before pruning: its data and the dense original."""
     train_data: Dataset
     test_data: Dataset | None
     split: DeletionSplit
     dense: MaskedModel                 # trained on all rows, not pruned
     log: TrainLog | None               # None when dense came from the cache
     train_wall: float
-    pruned: dict[float, MaskedModel]   # a pruned clone of dense per sparsity
-    prune_wall: dict[float, float]
 
 
 def prepare_seed(cfg: ExperimentConfig, seed: int,
                  cache_dir: str | None = None) -> SeedSetup:
-    """Build the data, train the original model and prune it, for one seed.
+    """Build the data and train the original model, for one seed.
 
     With ``cache_dir`` the dense model is read from, or written to, the
     model cache there; a hit trains nothing and returns no log.
@@ -128,14 +128,7 @@ def prepare_seed(cfg: ExperimentConfig, seed: int,
     dense, log, train_wall, _ = train_model(
         cache_dir, train_data, np.arange(train_data.n), cfg.arch_dims(),
         cfg.train, seed)
-    pruned, prune_wall = {}, {}
-    for sparsity in cfg.sparsities:
-        pruned[sparsity] = dense.clone()
-        t1 = time.perf_counter()
-        _prune_to(pruned[sparsity], cfg, sparsity)
-        prune_wall[sparsity] = time.perf_counter() - t1
-    return SeedSetup(train_data, test_data, split, dense, log, train_wall,
-                     pruned, prune_wall)
+    return SeedSetup(train_data, test_data, split, dense, log, train_wall)
 
 
 def _scores(cfg, model, refs, train_data, test_data, split) -> list[dict]:
@@ -236,7 +229,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
             continue
         data = setup.train_data, setup.test_data, setup.split
         for i, sparsity in enumerate(cfg.sparsities):
-            pruned = setup.pruned[sparsity]
+            pruned = setup.dense.clone()
+            t0 = time.perf_counter()
+            _prune_to(pruned, cfg, sparsity)
+            pruning_wall = time.perf_counter() - t0
             try:
                 oracle, oracle_wall, _ = cell_oracle(
                     cfg, seed, sparsity, setup.train_data, setup.split,
@@ -250,7 +246,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None
                 break
             report.rows += _rows(
                 cfg, seed, sparsity, "original", pruned, {"": oracle},
-                setup.train_wall + setup.prune_wall[sparsity], data)
+                setup.train_wall + pruning_wall, data)
             report.rows += _rows(cfg, seed, sparsity, "oracle", oracle,
                                  {"": oracle}, oracle_wall, data)
             for method in cfg.methods:
@@ -316,12 +312,14 @@ def emit_json(report: ExperimentReport, path: str) -> None:
 
 
 def report_from_json(path: str) -> ExperimentReport:
+    """The report in ``path``; a file that is no results.json is a FormatError."""
     with open(path) as fh:
-        payload = json.load(fh)
-    return ExperimentReport(
-        rows=[CellRow(**row) for row in payload["rows"]],
-        errors=list(payload["errors"]),
-    )
+        try:
+            payload = json.load(fh)
+            return ExperimentReport([CellRow(**row) for row in payload["rows"]],
+                                    list(payload["errors"]))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise FormatError(f"{path}: not a results.json: {exc}") from exc
 
 
 def emit_scatter(report: ExperimentReport, x_metric: str, y_metric: str,

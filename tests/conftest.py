@@ -3,8 +3,9 @@
 The two reference tasks are the shipped configs: configs/reference.ini
 (unstructured) and configs/structured.ini (whole-neuron masks). One session
 fixture per task runs the config's grid without timing; the set-ups and
-oracles the tests use are read back from that grid's model cache, so every
-model a test sees is one the grid scored.
+oracles the tests use are read back from that grid's model cache, and the
+pruned originals are cut from the cached dense model the way the grid cuts
+them, so every model a test sees is one the grid scored.
 
 ``blas_threads`` replaces the BLAS thread-count handle with a fake that
 records every count the program sets.
@@ -18,6 +19,7 @@ import pytest
 from unprune import numeric
 from unprune.config import parse_config
 from unprune.experiment import (
+    _prune_to,
     cell_oracle,
     model_cache_dir,
     prepare_seed,
@@ -69,16 +71,37 @@ def struct_grid(struct_cfg, tmp_path_factory):
     return _grid(struct_cfg, tmp_path_factory, "structured")
 
 
+def _pruned(cfg, runs):
+    """Each seed's original pruned to the config's one sparsity, as the grid
+    prunes it: a clone of the dense model through ``_prune_to``."""
+    (sparsity,) = cfg.sparsities
+    return {seed: _prune_to(run.dense.clone(), cfg, sparsity)
+            for seed, run in runs.items()}
+
+
 @pytest.fixture(scope="session")
 def ref_runs(ref_cfg, ref_grid):
-    """Trained+pruned unstructured reference models, one per seed."""
+    """Set-ups of the unstructured reference task (data, dense original),
+    one per seed."""
     return _cached_setups(ref_cfg, ref_grid[1])
 
 
 @pytest.fixture(scope="session")
 def struct_runs(struct_cfg, struct_grid):
-    """Trained+pruned structured reference models, one per seed."""
+    """Set-ups of the structured reference task, one per seed."""
     return _cached_setups(struct_cfg, struct_grid[1])
+
+
+@pytest.fixture(scope="session")
+def ref_pruned(ref_cfg, ref_runs):
+    """The unstructured reference task's pruned original, one per seed."""
+    return _pruned(ref_cfg, ref_runs)
+
+
+@pytest.fixture(scope="session")
+def struct_pruned(struct_cfg, struct_runs):
+    """The structured reference task's pruned original, one per seed."""
+    return _pruned(struct_cfg, struct_runs)
 
 
 @pytest.fixture(scope="session")

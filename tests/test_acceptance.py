@@ -248,7 +248,7 @@ def test_criterion_06_kl_ground_truth(ref_cfg, ref_grid, ref_runs,
 
 
 def test_criterion_07_init_strategy_ordering(ref_cfg, ref_grid, ref_runs,
-                                            ref_oracles):
+                                            ref_pruned, ref_oracles):
     """Original-initialization un-pruning matches or beats random init on IoM."""
     sparsity = ref_cfg.sparsities[0]
     # The grid's gradient ascent cells re-initialize from the original init.
@@ -261,11 +261,11 @@ def test_criterion_07_init_strategy_ordering(ref_cfg, ref_grid, ref_runs,
     # from: on those the random arm did nothing to the topology.
     unmoved = 0
     for seed, run in ref_runs.items():
-        model = run.pruned[sparsity].clone()
+        model = ref_pruned[seed].clone()
         cell_unprune(cfg, seed, sparsity, "gradient_ascent", model,
                      run.train_data, run.test_data, run.split)
         unmoved += np.array_equal(model.flat_masks(),
-                                  run.pruned[sparsity].flat_masks())
+                                  ref_pruned[seed].flat_masks())
         values.append(_scores(cfg, model, (ref_oracles[seed],), run.train_data,
                               run.test_data, run.split)[0]["iom"])
     means["random"] = float(np.mean(values))
@@ -281,7 +281,7 @@ def test_criterion_07_init_strategy_ordering(ref_cfg, ref_grid, ref_runs,
     assert _verdict(7, ok, detail)
 
 
-def test_criterion_08_running_time_ordering(ref_cfg, ref_runs):
+def test_criterion_08_running_time_ordering(ref_cfg, ref_runs, ref_pruned):
     """Un-pruning (GA, T=3) costs at most half of retraining+repruning."""
     run = ref_runs[0]
     sparsity = ref_cfg.sparsities[0]
@@ -289,15 +289,15 @@ def test_criterion_08_running_time_ordering(ref_cfg, ref_runs):
     retrain_reprune(run.train_data, run.split, ref_cfg.arch_dims(),
                     ref_cfg.train, sparsity, 0)
     oracle_wall = time.perf_counter() - t0
-    model = run.pruned[sparsity].clone()
+    model = ref_pruned[0].clone()
     t0 = time.perf_counter()
     cell_unprune(ref_cfg, 0, sparsity, "gradient_ascent", model,
                  run.train_data, run.test_data, run.split)
-    unprune_wall = time.perf_counter() - t0
-    ok = unprune_wall <= 0.5 * oracle_wall
-    assert _verdict(8, ok, f"unprune {unprune_wall:.3f}s vs retrain+reprune "
+    unpruning_wall = time.perf_counter() - t0
+    ok = unpruning_wall <= 0.5 * oracle_wall
+    assert _verdict(8, ok, f"unprune {unpruning_wall:.3f}s vs retrain+reprune "
                            f"{oracle_wall:.3f}s (ratio "
-                           f"{unprune_wall / oracle_wall:.3f})")
+                           f"{unpruning_wall / oracle_wall:.3f})")
 
 
 def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
@@ -360,12 +360,13 @@ def test_criterion_10_determinism(ref_cfg, ref_grid, tmp_path):
                             f"({len(report_a.rows)} rows)")
 
 
-def test_criterion_11_structured_variant(struct_cfg, struct_grid, struct_runs):
+def test_criterion_11_structured_variant(struct_cfg, struct_grid, struct_runs,
+                                         struct_pruned):
     """Neuron-level analogues of criteria 4-5 on the 2-32-32-2 network."""
     sparsity = struct_cfg.sparsities[0]
     for method in ("gradient_ascent", "finetune"):
         for seed, run in struct_runs.items():
-            pruned = run.pruned[sparsity]
+            pruned = struct_pruned[seed]
             model = pruned.clone()
             cell_unprune(struct_cfg, seed, sparsity, method, model,
                          run.train_data, run.test_data, run.split)

@@ -28,6 +28,7 @@ from unprune.mia import CHANNELS
 from unprune.experiment import (
     CellRow,
     ExperimentReport,
+    _prune_to,
     _scores,
     build_data,
     cell_oracle,
@@ -875,10 +876,11 @@ def test_bad_mia_ratios_rejected_before_training(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("nonmembers, ratios, error", [
     ("-5", "", "need a pool of at least 2 non-members, got -5"),
+    ("0", "", "need a pool of at least 2 non-members, got 0"),
     ("1", "", "need a pool of at least 2 non-members, got 1"),
     ("2", "[mia]\nratios = 1.0,0.5\n\n",
      "2 non-members at ratio 0.5 give a member count of 1; need at least 2"),
-], ids=["negative", "one", "too_few_members"])
+], ids=["negative", "zero", "one", "too_few_members"])
 def test_cli_mia_sweep_nonmembers_checked_before_training(
         tmp_path, monkeypatch, capsys, nonmembers, ratios, error):
     calls = []
@@ -942,16 +944,84 @@ def test_cli_input_and_format_errors_exit_1(tmp_path, capsys):
 
 
 def test_cli_prune_writes_the_grids_pruned_clone(tmp_path):
+    # One prune path: from the model cache, or from the snapshot that
+    # `train` wrote, `prune` writes the model the grid cuts for the cell.
     text = TINY_CONFIG.replace("sparsities = 0.5", "sparsities = 0.5,0.7")
     config_path = tmp_path / "tiny.ini"
     config_path.write_text(text)
-    out = tmp_path / "pruned"
+    out, trained = tmp_path / "pruned", tmp_path / "trained"
     assert main(["prune", "--config", str(config_path), "--out", str(out),
+                 "--sparsity", "0.7"]) == 0
+    assert main(["train", "--config", str(config_path), "--out",
+                 str(trained)]) == 0
+    assert main(["prune", "--config", str(config_path), "--out", str(trained),
+                 "--model", str(trained / "model_seed0.bin"),
                  "--sparsity", "0.7"]) == 0
     expected = tmp_path / "grid_clone.bin"
     cfg = parse_config(str(config_path)).validate()
-    save_snapshot(prepare_seed(cfg, 0).pruned[0.7], str(expected))
-    assert (out / "pruned_seed0_s0.7.bin").read_bytes() == expected.read_bytes()
+    save_snapshot(_prune_to(prepare_seed(cfg, 0).dense, cfg, 0.7),
+                  str(expected))
+    for directory in (out, trained):
+        assert ((directory / "pruned_seed0_s0.7.bin").read_bytes()
+                == expected.read_bytes())
+
+
+@pytest.mark.parametrize("command", ["train", "mia-sweep", "prune", "unprune",
+                                     "run"])
+def test_cli_prunes_only_the_models_it_reads(tmp_path, monkeypatch, command):
+    # Each command prunes where it reads a pruned model: `run` one clone
+    # per (seed, sparsity), `prune` and `unprune` one model, the others none.
+    calls = []
+    counted = _counting(calls, "prune", experiment_module._prune_to)
+    monkeypatch.setattr(experiment_module, "_prune_to", counted)
+    monkeypatch.setattr(cli, "_prune_to", counted)
+    config_path = tmp_path / "tiny.ini"
+    config_path.write_text(TINY_CONFIG.replace(
+        "sparsities = 0.5", "sparsities = 0.3,0.5,0.7").replace(
+        "seeds = 0", "seeds = 0,1"))
+    assert main([command, "--config", str(config_path), "--out",
+                 str(tmp_path / "o")]) == 0
+    expected = {"train": 0, "mia-sweep": 0, "prune": 1, "unprune": 1,
+                "run": 2 * 3}
+    assert len(calls) == expected[command]
+
+
+@pytest.mark.parametrize("argv, results", [
+    (["evaluate", "--model", "missing.bin"], None),
+    (["mia-sweep", "--model", "missing.bin"], None),
+    (["plot"], None),
+    (["plot", "--results", "rows.json"], '{"rows": [{"seed": 0}], "errors": []}'),
+    (["plot", "--results", "rows.json"], "seed,method\n"),
+], ids=["evaluate_missing_model", "mia_sweep_missing_model",
+        "plot_missing_results", "plot_row_lacks_keys", "plot_not_json"])
+def test_cli_bad_input_file_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                              argv, results):
+    monkeypatch.chdir(tmp_path)
+    if results is not None:
+        (tmp_path / "rows.json").write_text(results)
+    (tmp_path / "tiny.ini").write_text(TINY_CONFIG)
+    assert main([*argv, "--config", "tiny.ini", "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_readme_commands_parse(capsys):
+    # Every `unprune ...` line in the README's code blocks, optional [parts]
+    # included, is a command line the parser accepts.
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                          "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("unprune ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(line.replace("[", "").replace("]", "")
+                              .split()[1:])
+        except SystemExit:
+            pytest.fail(f"{line!r}: {capsys.readouterr().err}")
 
 
 def test_cli_env_var_overrides_out(tmp_path, monkeypatch):

@@ -12,7 +12,8 @@ from unprune.core import (
 )
 from unprune.data import gen_blobs, split_delete
 from unprune.errors import ConfigError, InputError
-from unprune.experiment import cell_oracle, cell_unprune, model_cache_dir
+from unprune.experiment import (_prune_to, cell_oracle, cell_unprune,
+                                model_cache_dir)
 from unprune.model import init_model, mlp_specs
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
@@ -224,11 +225,11 @@ def test_growth_legality_and_restoration_structured():
     assert all(len(g) > 0 for g in trace.grown)
 
 
-def test_mask_change_capability(ref_cfg, ref_runs):
+def test_mask_change_capability(ref_cfg, ref_runs, ref_pruned):
     # With a non-noop unlearner the output mask differs from the input mask.
     run = ref_runs[0]
     sparsity = ref_cfg.sparsities[0]
-    pruned = run.pruned[sparsity]
+    pruned = ref_pruned[0]
     model = pruned.clone()
     cell_unprune(ref_cfg, 0, sparsity, "gradient_ascent", model,
                  run.train_data, run.test_data, run.split)
@@ -243,7 +244,8 @@ def test_pruned_weights_are_stored_zeros(request, task):
     run = request.getfixturevalue(f"{task}_runs")[0]
     cache_dir = model_cache_dir(str(request.getfixturevalue(f"{task}_grid")[1]))
     models = {}
-    for sparsity, pruned in run.pruned.items():
+    for sparsity in cfg.sparsities:
+        pruned = _prune_to(run.dense.clone(), cfg, sparsity)
         models[f"pruned {sparsity}"] = pruned
         oracle, _, hit = cell_oracle(cfg, 0, sparsity, run.train_data,
                                      run.split, cache_dir)

@@ -184,9 +184,9 @@ def test_bound_proxy_lambda_floor():
     assert rep.masked_weight_norm >= 0.0
 
 
-def test_bound_proxy_on_real_fisher(ref_runs):
+def test_bound_proxy_on_real_fisher(ref_runs, ref_pruned):
     run = ref_runs[0]
-    pruned = run.pruned[0.6]
+    pruned = ref_pruned[0]
     fisher = fisher_diag(pruned, run.train_data, run.split.forget_indices)
     rep = bound_proxy(pruned, 3e-4, 40, fisher)
     assert rep.value > 0.0

@@ -93,9 +93,9 @@ def test_gradient_ascent_first_order_taylor(task):
     assert (loss1 - loss0) == pytest.approx(1e-4 * grad_sq, rel=0.1)
 
 
-def test_gradient_ascent_drops_forget_accuracy(ref_runs):
+def test_gradient_ascent_drops_forget_accuracy(ref_runs, ref_pruned):
     run = ref_runs[0]
-    m = run.pruned[0.6].clone()
+    m = ref_pruned[0].clone()
     ua_before = evaluate(m, run.train_data, run.split.forget_indices)[1]
     unlearn_gradient_ascent(m, run.train_data, run.split.forget_indices, 50, 1e-3)
     ua_after = evaluate(m, run.train_data, run.split.forget_indices)[1]
@@ -237,9 +237,9 @@ GRADIENT_PATHS_SHA256 = (
     "28ee18f1ddb21bf530d91c9298af98322cf20f979e0619cde1f1166f03126eb3")
 
 
-def test_gradient_paths_pinned(ref_runs):
+def test_gradient_paths_pinned(ref_runs, ref_pruned):
     run = ref_runs[0]
-    pruned, data, split = run.pruned[0.6], run.train_data, run.split
+    pruned, data, split = ref_pruned[0], run.train_data, run.split
     h = hashlib.sha256()
     for rows in (split.retain_indices, split.forget_indices):
         fisher = fisher_diag(pruned, data, rows)
