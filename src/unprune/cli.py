@@ -3,7 +3,7 @@
 Subcommands: train, prune, oracle, unprune, evaluate, mia-sweep, run, plot.
 Exit codes: 0 full success, 1 a config, argument or input-file error or
 a diverging training, 2 partial cell failures.
-The output directory is UNPRUNE_OUT if set, else --out, else [run] out.
+The output directory is --out if given, else [run] out.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .train import evaluate
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> str:
-    out = os.environ.get("UNPRUNE_OUT") or args.out or cfg.out_dir
+    out = args.out or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     return out
 

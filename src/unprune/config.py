@@ -72,7 +72,11 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.train.epochs}")
         if not (math.isfinite(self.train.lr) and self.train.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.train.lr}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         topology(self.prune_mode, self.scope)
+        if self.prune_mode == "structured" and not self.hidden:
+            raise ConfigError("structured pruning needs a hidden layer")
         # A repeated entry would run (or sweep) the same thing twice.
         for name in ("seeds", "sparsities", "methods", "mia_ratios"):
             values = getattr(self, name)
@@ -94,6 +98,10 @@ class ExperimentConfig:
             self.unlearn_config(m).validate()
         if not 0.0 < self.delete_ratio < 1.0:
             raise ConfigError(f"delete ratio {self.delete_ratio} outside (0, 1)")
+        if self.target_class is not None and \
+                not 0 <= self.target_class < self.classes:
+            raise ConfigError(f"target_class {self.target_class} outside "
+                              f"[0, {self.classes})")
         for name in ("jobs", "imp_rounds"):
             if getattr(self, name) != 1:
                 raise ConfigError(f"{name} must be 1, got {getattr(self, name)}")

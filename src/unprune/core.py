@@ -164,7 +164,7 @@ def grow_mask_structured(
     grown = np.sort(_smallest(-norms, pruned, count))
     rows = np.zeros(total_hidden, dtype=bool)
     rows[grown] = True
-    ends = np.cumsum([model.layers[l].out_dim for l in hidden])[:-1]
+    ends = np.cumsum([model.weights[l].shape[0] for l in hidden])[:-1]
     for l, layer_rows in zip(hidden, np.split(rows, ends)):
         model.masks[l][layer_rows, :] = 1.0
     return model, grown

@@ -82,8 +82,7 @@ def kl_masked_weights(model_u: MaskedModel, model_r: MaskedModel) -> float:
     Fits a Gaussian to each layer's masked weight values (zeros included).
     Zero reference variance is floored at 1e-12 and flagged with a warning.
     """
-    if [l.out_dim for l in model_u.layers] != [l.out_dim for l in model_r.layers] or \
-       model_u.layers[0].in_dim != model_r.layers[0].in_dim:
+    if model_u.dims != model_r.dims:
         raise InputError("models must share an architecture")
     total = 0.0
     for wu, mu_, wr, mr_ in zip(

@@ -1,4 +1,7 @@
-"""Masked multilayer perceptron: weights, binary masks, and the saved init.
+"""Masked ReLU MLP: weights, binary masks, and the saved init.
+
+The weight shapes are the architecture: every layer but the last applies
+ReLU, and the last emits raw logits.
 
 A pruned weight is a stored 0: ``prune_*`` and ``apply_mask`` zero every
 weight whose mask bit is 0, and ``load_snapshot`` rejects a file that
@@ -13,6 +16,7 @@ Biases are never masked; sparsity accounting covers weight entries only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,37 +24,8 @@ import numpy as np
 from .errors import FormatError, InputError, ShapeError
 from .numeric import SeededRng, matmul, softmax_cross_entropy
 
-ACTIVATIONS = ("relu", "none")
-
 SNAPSHOT_MAGIC = "unprune-model 1"
 _HEADER_END = b"end-header\n"
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise InputError(f"layer dims must be positive, got {self}")
-        if self.activation not in ACTIVATIONS:
-            raise InputError(f"unknown activation {self.activation!r}")
-
-
-def mlp_specs(dims: list[int]) -> list[LayerSpec]:
-    """Fully connected specs from a dim chain like [2, 64, 32, 2].
-
-    All layers use relu except the last, which emits raw logits.
-    """
-    if len(dims) < 2:
-        raise InputError("need at least an input and an output dimension")
-    specs = []
-    for i in range(len(dims) - 1):
-        act = "none" if i == len(dims) - 2 else "relu"
-        specs.append(LayerSpec(dims[i], dims[i + 1], act))
-    return specs
 
 
 @dataclass
@@ -61,7 +36,6 @@ class GradientSet:
 
 @dataclass
 class MaskedModel:
-    layers: list[LayerSpec]
     weights: list[np.ndarray]        # per layer, (out, in)
     biases: list[np.ndarray]         # per layer, (out,)
     masks: list[np.ndarray]          # per layer, (out, in), entries in {0, 1}
@@ -74,11 +48,10 @@ class MaskedModel:
 
     @property
     def dims(self) -> list[int]:
-        return [self.layers[0].in_dim] + [s.out_dim for s in self.layers]
+        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def clone(self) -> "MaskedModel":
         return MaskedModel(
-            layers=list(self.layers),
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
             masks=[m.copy() for m in self.masks],
@@ -93,61 +66,56 @@ class MaskedModel:
         return np.concatenate([w.ravel() for w in self.weights])
 
 
-def init_model(specs: list[LayerSpec], rng: SeededRng) -> MaskedModel:
-    """Kaiming-uniform weights, zero biases, all-ones masks, snapshotted init.
+def _dims_fault(dims: list[int]) -> str:
+    """Why ``dims`` is not a chain of two or more positive widths, or ""."""
+    if len(dims) < 2 or min(dims) < 1:
+        return f"dims must be two or more positive widths, got {list(dims)}"
+    return ""
+
+
+def init_model(dims: list[int], rng: SeededRng) -> MaskedModel:
+    """Kaiming-uniform weights, zero biases, all-ones masks, snapshotted init,
+    for the dim chain ``dims`` like [2, 64, 32, 2].
 
     Weight bound is 1/sqrt(fan_in), the standard linear-layer default
     (kaiming-uniform with a=sqrt(5)).
     """
-    if not specs:
-        raise InputError("need at least one layer")
-    for a, b in zip(specs, specs[1:]):
-        if a.out_dim != b.in_dim:
-            raise InputError(f"dim chain mismatch: {a.out_dim} -> {b.in_dim}")
-    if specs[-1].activation != "none":
-        raise InputError("last layer must emit raw logits (activation 'none')")
+    fault = _dims_fault(dims)
+    if fault:
+        raise InputError(fault)
     weights, biases, masks = [], [], []
-    for i, spec in enumerate(specs):
-        bound = 1.0 / np.sqrt(spec.in_dim)
-        w = rng.split(f"layer{i}").uniform(-bound, bound, spec.out_dim * spec.in_dim)
-        weights.append(w.reshape(spec.out_dim, spec.in_dim))
-        biases.append(np.zeros(spec.out_dim, dtype=np.float64))
-        masks.append(np.ones((spec.out_dim, spec.in_dim), dtype=np.float64))
-    return MaskedModel(
-        layers=list(specs),
-        weights=weights,
-        biases=biases,
-        masks=masks,
-        init_snapshot=[w.copy() for w in weights],
-        seed=rng.seed,
-    )
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        bound = 1.0 / np.sqrt(fan_in)
+        w = rng.split(f"layer{i}").uniform(-bound, bound, fan_out * fan_in)
+        weights.append(w.reshape(fan_out, fan_in))
+        biases.append(np.zeros(fan_out, dtype=np.float64))
+        masks.append(np.ones((fan_out, fan_in), dtype=np.float64))
+    return MaskedModel(weights=weights, biases=biases, masks=masks,
+                       init_snapshot=[w.copy() for w in weights], seed=rng.seed)
 
 
-def _forward_trace(
-    model: MaskedModel, inputs: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    """Returns (per-layer activations incl. input, per-layer ReLU masks).
+def _forward_trace(model: MaskedModel, inputs: np.ndarray
+                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Returns (per-layer activations incl. input, per-hidden-layer ReLU masks).
 
-    A ReLU layer's mask is its boolean ``z > 0`` on the pre-activation
+    A hidden layer's mask is its boolean ``z > 0`` on the pre-activation
     ``z``, taken once; the layer then applies ReLU in ``z`` itself, so its
-    activation is the only (batch, width) array it allocates. A layer
-    without ReLU has the mask None.
+    activation is the only (batch, width) array it allocates. The last
+    layer's ``z`` is the logits.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.layers[0].in_dim:
-        raise ShapeError(
-            f"inputs must be (batch, {model.layers[0].in_dim}), got {x.shape}"
-        )
+    width = model.weights[0].shape[1]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(f"inputs must be (batch, {width}), got {x.shape}")
     acts = [x]
     masks = []
-    for spec, w, b in zip(model.layers, model.weights, model.biases):
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = matmul(acts[-1], w.T)
         z += b
-        if spec.activation == "relu":
+        if l < last:
             masks.append(z > 0.0)
             np.maximum(z, 0.0, out=z)
-        else:
-            masks.append(None)
         acts.append(z)
     return acts, masks
 
@@ -179,15 +147,15 @@ def _backward_from_trace(model: MaskedModel, trace,
     keeps it.
     """
     acts, masks = trace
-    g_w = [None] * len(model.layers)
-    g_b = [None] * len(model.layers)
+    g_w = [None] * len(model.weights)
+    g_b = [None] * len(model.weights)
     for l, d in _layer_deltas(model, masks, delta):
         g_w[l] = matmul(d.T, acts[l])
         g_b[l] = np.einsum("ij->j", d) if d.shape[1] > 1 else d.sum(axis=0)
     return GradientSet(weights=g_w, biases=g_b)
 
 
-def _layer_deltas(model: MaskedModel, masks: list[np.ndarray | None],
+def _layer_deltas(model: MaskedModel, masks: list[np.ndarray],
                   delta: np.ndarray):
     """Yield ``(l, delta)`` from the last layer down: the ReLU recursion.
 
@@ -196,12 +164,11 @@ def _layer_deltas(model: MaskedModel, masks: list[np.ndarray | None],
     ``masks`` come from the ``_forward_trace`` of the batch, and the recursion
     reads the live ``model.weights``: they must not change between the two.
     """
-    for l in range(len(model.layers) - 1, -1, -1):
+    for l in range(len(model.weights) - 1, -1, -1):
         yield l, delta
         if l > 0:
             delta = matmul(delta, model.weights[l])
-            if masks[l - 1] is not None:
-                delta *= masks[l - 1]
+            delta *= masks[l - 1]
 
 
 def apply_mask(model: MaskedModel) -> MaskedModel:
@@ -231,7 +198,7 @@ def save_snapshot(model: MaskedModel, path: str,
         SNAPSHOT_MAGIC,
         f"seed={model.seed}",
         "dims=" + ",".join(str(d) for d in model.dims),
-        "activations=" + ",".join(s.activation for s in model.layers),
+        "activations=" + _activations(len(model.weights)),
         f"sparsity={sparsity_of(model).sparsity:.6f}",
         "blocks=weights,bias,mask,init per layer; float64 little-endian",
     ]
@@ -246,6 +213,12 @@ def save_snapshot(model: MaskedModel, path: str,
             fh.write(b.astype("<f8").tobytes())
             fh.write(m.astype("<f8").tobytes())
             fh.write(s.astype("<f8").tobytes())
+
+
+def _activations(layers: int) -> str:
+    """The one ``activations`` entry a snapshot of ``layers`` layers has:
+    ReLU on every layer but the logits."""
+    return ",".join(["relu"] * (layers - 1) + ["none"])
 
 
 def _mask_fault(weights: list[np.ndarray], masks: list[np.ndarray]) -> str:
@@ -298,43 +271,35 @@ def load_snapshot(path: str) -> MaskedModel:
             raise FormatError(f"{path}: header has no {key}= line")
     seed = _header_uint(fields["seed"], "seed", path)
     dims = [_header_uint(d, "dims", path) for d in fields["dims"].split(",")]
-    activations = fields["activations"].split(",")
-    if len(dims) < 2 or len(activations) != len(dims) - 1:
-        raise FormatError(f"{path}: {len(dims)} dims need {len(dims) - 1} >= 1 "
-                          f"activations, got {len(activations)}")
-    try:
-        specs = [LayerSpec(dims[i], dims[i + 1], activations[i])
-                 for i in range(len(dims) - 1)]
-    except InputError as exc:
-        raise FormatError(f"{path}: bad layer in header: {exc}") from None
+    fault = _dims_fault(dims)
+    if fault:
+        raise FormatError(f"{path}: {fault}")
+    expected = _activations(len(dims) - 1)
+    if fields["activations"] != expected:
+        raise FormatError(f"{path}: activations entry "
+                          f"{fields['activations']!r} is not {expected!r}")
     offset = 0
     weights, biases, masks, snap = [], [], [], []
 
-    def take(count, shape):
+    def take(*shape):
         nonlocal offset
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
+        count = math.prod(shape)
+        if offset + 8 * count > len(blob):
             raise FormatError(f"{path}: truncated block at byte {offset}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += nbytes
+        offset += 8 * count
         return arr.reshape(shape).copy()
 
-    for spec in specs:
-        weights.append(take(spec.out_dim * spec.in_dim, (spec.out_dim, spec.in_dim)))
-        biases.append(take(spec.out_dim, (spec.out_dim,)))
-        masks.append(take(spec.out_dim * spec.in_dim, (spec.out_dim, spec.in_dim)))
-        snap.append(take(spec.out_dim * spec.in_dim, (spec.out_dim, spec.in_dim)))
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights.append(take(fan_out, fan_in))
+        biases.append(take(fan_out))
+        masks.append(take(fan_out, fan_in))
+        snap.append(take(fan_out, fan_in))
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after "
                           f"the last block")
     fault = _mask_fault(weights, masks)
     if fault:
         raise FormatError(f"{path}: {fault}")
-    return MaskedModel(
-        layers=specs,
-        weights=weights,
-        biases=biases,
-        masks=masks,
-        init_snapshot=snap,
-        seed=seed,
-    )
+    return MaskedModel(weights=weights, biases=biases, masks=masks,
+                       init_snapshot=snap, seed=seed)

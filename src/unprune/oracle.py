@@ -29,7 +29,6 @@ from .model import (
     MaskedModel,
     init_model,
     load_snapshot,
-    mlp_specs,
     save_snapshot,
     snapshot_header,
 )
@@ -39,7 +38,7 @@ from .train import TrainCfg, TrainLog, train_with_cfg
 
 def build_model(dims: list[int], seed: int) -> MaskedModel:
     """Fresh dense model; the single place that fixes the init seed discipline."""
-    return init_model(mlp_specs(dims), SeededRng(seed).split("init"))
+    return init_model(dims, SeededRng(seed).split("init"))
 
 
 # Bump when a change moves trained weights, so that cached models from

@@ -91,7 +91,7 @@ def prune_magnitude(
 
 def hidden_layer_indices(model: MaskedModel) -> list[int]:
     """Layers whose output units are hidden neurons (all but the last)."""
-    return list(range(len(model.layers) - 1))
+    return list(range(len(model.weights) - 1))
 
 
 def prune_structured_l2(model: MaskedModel, prune_fraction: float) -> MaskedModel:
@@ -107,7 +107,7 @@ def prune_structured_l2(model: MaskedModel, prune_fraction: float) -> MaskedMode
     if not hidden:
         raise InputError("model has no hidden layers to prune")
     for l in hidden:
-        units = model.layers[l].out_dim
+        units = model.weights[l].shape[0]
         k = int(np.floor(prune_fraction * units))
         if k == 0:
             continue

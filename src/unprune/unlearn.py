@@ -66,7 +66,7 @@ def _descend(model: MaskedModel, dataset: Dataset, rows: np.ndarray,
     if len(rows) == 0:
         raise InputError(f"{role} row set is empty")
     x, y = dataset.inputs[rows], dataset.labels[rows]
-    true_index = _true_class_index(y, len(rows), model.layers[-1].out_dim)
+    true_index = _true_class_index(y, len(rows), model.weights[-1].shape[0])
     with blas_scope():
         for _ in range(steps):
             trace = _forward_trace(model, x)
@@ -107,8 +107,8 @@ def fisher_diag(
     delta = softmax(acts[-1])
     delta[np.arange(len(rows)), y] -= 1.0
     n = float(len(rows))
-    f_w = [None] * len(model.layers)
-    f_b = [None] * len(model.layers)
+    f_w = [None] * len(model.weights)
+    f_b = [None] * len(model.weights)
     for l, d in _layer_deltas(model, masks, delta):
         f_w[l] = matmul((d ** 2).T, acts[l] ** 2) / n
         f_b[l] = (d ** 2).mean(axis=0)

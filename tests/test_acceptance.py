@@ -24,7 +24,7 @@ from unprune.experiment import (
 )
 from unprune.metrics import MaskPair, iom, iou, kl_masked_weights, uom
 from unprune.mia import mia_evaluate, ratio_sweep
-from unprune.model import backward, forward, init_model, mlp_specs
+from unprune.model import backward, forward, init_model
 from unprune.numeric import SeededRng, softmax_cross_entropy
 from unprune.oracle import retrain_reprune, train_model
 from unprune.prune import prune_magnitude, sparsity_of
@@ -85,7 +85,7 @@ def test_criterion_02_gradient_fidelity():
     for case in range(100):
         dims = [3, int(config_rng.integers(4, 9, 1)[0]),
                 int(config_rng.integers(3, 7, 1)[0])]
-        model = init_model(mlp_specs(dims), SeededRng(3000 + case))
+        model = init_model(dims, SeededRng(3000 + case))
         sparsity = float(config_rng.uniform(0.0, 0.6, 1)[0])
         if sparsity > 0.01:
             prune_magnitude(model, sparsity)
@@ -202,7 +202,7 @@ def test_criterion_05_sparsity_restoration():
         t = int(rng.integers(1, 4, 1)[0])
         if s - t * p < 0:
             p = s / (t + 1)
-        model = init_model(mlp_specs([2, hidden, 2]), SeededRng(6000 + case))
+        model = init_model([2, hidden, 2], SeededRng(6000 + case))
         prune_magnitude(model, s)
         target_zeros = sparsity_of(model).zero_mask_entries
         cfg = UnpruneConfig(

@@ -766,16 +766,26 @@ BAD_UNPRUNE = [
      "fisher_forgetting fisher_noise_scale must be >= 0"),
     ("steps = 5", "steps = 0", "finetune steps must be >= 1"),
     ("rate = 0.05", "rate = 0", "finetune rate must be > 0"),
+    ("hidden = 8", "hidden = 8,0", "hidden widths must be >= 1"),
+    # Structured pruning cuts hidden neurons, so it needs a hidden layer.
+    (("hidden = 8", "mode = unstructured"), ("hidden =", "mode = structured"),
+     "structured pruning needs a hidden layer"),
+    ("ratio = 0.1", "ratio = 0.1\ntarget_class = 5", "target_class 5 outside"),
 ]
 
 
 @pytest.mark.parametrize("old, new, error", BAD_UNPRUNE,
                          ids=["iterations", "underflow", "random_init_std",
                               "epochs", "lr", "lr_nan", "fisher_noise_scale",
-                              "unused_method_table", "steps", "rate"])
+                              "unused_method_table", "steps", "rate",
+                              "hidden_width", "structured_no_hidden",
+                              "target_class"])
 def test_bad_unprune_settings_rejected_before_training(
         tmp_path, monkeypatch, capsys, old, new, error):
-    text = TINY_CONFIG.replace(old, new)
+    text = TINY_CONFIG
+    # A tuple row makes one edit per pair.
+    for o, n in (zip(old, new) if isinstance(old, tuple) else [(old, new)]):
+        text = text.replace(o, n)
     with pytest.raises(ConfigError, match=error):
         parse_config_text(text)
     calls = []
@@ -1024,19 +1034,7 @@ def test_readme_commands_parse(capsys):
             pytest.fail(f"{line!r}: {capsys.readouterr().err}")
 
 
-def test_cli_env_var_overrides_out(tmp_path, monkeypatch):
-    config_path = tmp_path / "tiny.ini"
-    config_path.write_text(TINY_CONFIG)
-    target = tmp_path / "env-out"
-    monkeypatch.setenv("UNPRUNE_OUT", str(target))
-    assert main(["run", "--config", str(config_path), "--out",
-                 str(tmp_path / "ignored")]) == 0
-    assert (target / "results.csv").exists()
-
-
 def test_cli_out_falls_back_to_config(tmp_path, monkeypatch):
-    # Precedence: UNPRUNE_OUT, then --out, then [run] out.
-    monkeypatch.delenv("UNPRUNE_OUT", raising=False)
     monkeypatch.chdir(tmp_path)
     config_path = tmp_path / "tiny.ini"
     config_path.write_text(TINY_CONFIG.replace(

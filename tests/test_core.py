@@ -14,7 +14,7 @@ from unprune.data import gen_blobs, split_delete
 from unprune.errors import ConfigError, InputError
 from unprune.experiment import (_prune_to, cell_oracle, cell_unprune,
                                 model_cache_dir)
-from unprune.model import init_model, mlp_specs
+from unprune.model import init_model
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.prune import (
@@ -26,7 +26,7 @@ from unprune.unlearn import METHODS, UnlearnConfig
 
 
 def pruned_model(seed=0, dims=(3, 10, 3), sparsity=0.5):
-    model = init_model(mlp_specs(list(dims)), SeededRng(seed))
+    model = init_model(list(dims), SeededRng(seed))
     prune_magnitude(model, sparsity)
     return model
 
@@ -39,7 +39,7 @@ def tiny_task(seed=0):
 
 
 def test_reinit_noop_on_dense_model():
-    model = init_model(mlp_specs([3, 6, 3]), SeededRng(1))
+    model = init_model([3, 6, 3], SeededRng(1))
     before = [w.copy() for w in model.weights]
     for strategy in ("original", "random"):
         reinit_pruned(model, strategy, SeededRng(2))
@@ -72,7 +72,7 @@ def test_reinit_random_statistics():
 def test_grow_mask_hand_case():
     # N=10, five masked entries with reinit magnitudes [.9,.1,.5,.3,.7]:
     # growing 10% flips exactly the 0.9 entry.
-    model = init_model(mlp_specs([5, 2]), SeededRng(7))
+    model = init_model([5, 2], SeededRng(7))
     model.weights[0][...] = np.array([[0.9, 0.1, 0.5, 0.3, 0.7],
                                       [1.0, 1.0, 1.0, 1.0, 1.0]])
     model.masks[0][...] = np.array([[0.0, 0.0, 0.0, 0.0, 0.0],
@@ -106,7 +106,7 @@ def test_grow_mask_insufficient_candidates():
 
 
 def test_grow_mask_structured_hand_case():
-    model = init_model(mlp_specs([2, 2, 2]), SeededRng(12))
+    model = init_model([2, 2, 2], SeededRng(12))
     model.weights[0][...] = 0.0
     model.masks[0][...] = 0.0
     model.weights[0][0] = [0.2, 0.0]
@@ -118,7 +118,7 @@ def test_grow_mask_structured_hand_case():
 
 
 def test_grow_mask_structured_rounding_and_errors():
-    model = init_model(mlp_specs([2, 4, 2]), SeededRng(13))
+    model = init_model([2, 4, 2], SeededRng(13))
     with pytest.raises(InputError):
         grow_mask_structured(model, 0.5)  # nothing pruned yet
     prune_structured_l2(model, 0.5)
@@ -273,7 +273,7 @@ def test_sparsity_restored_for_random_configs(seed):
     t = int(rng.integers(1, 4, 1)[0])
     if s - t * p < 0:
         return
-    model = init_model(mlp_specs([2, hidden, 2]), SeededRng(seed + 1))
+    model = init_model([2, hidden, 2], SeededRng(seed + 1))
     prune_magnitude(model, s)
     zeros_before = sparsity_of(model).zero_mask_entries
     data, split = tiny_task(seed % 7)

@@ -24,7 +24,7 @@ import pytest
 from unprune import numeric
 from unprune.data import Dataset, gen_blobs
 from unprune.errors import NumericError
-from unprune.model import apply_mask, backward, init_model, mlp_specs
+from unprune.model import apply_mask, backward, init_model
 from unprune.numeric import SeededRng, softmax
 from unprune.oracle import build_model
 from unprune.train import train_sgd
@@ -94,7 +94,7 @@ _DEAD_UNITS = ((0, 1), (0, 4), (0, 6), (1, 2), (1, 5))
 
 
 def _model_with_signed_zeros(dims, pruned, seed):
-    model = init_model(mlp_specs(dims), SeededRng(seed).split("init"))
+    model = init_model(dims, SeededRng(seed).split("init"))
     rng = SeededRng(seed).split("edit")
     for w, b, m in zip(model.weights, model.biases, model.masks):
         flat = w.reshape(-1)

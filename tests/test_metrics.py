@@ -15,7 +15,7 @@ from unprune.metrics import (
     kl_masked_weights,
     uom,
 )
-from unprune.model import GradientSet, init_model, mlp_specs
+from unprune.model import GradientSet, init_model
 from unprune.numeric import SeededRng
 from unprune.unlearn import fisher_diag
 
@@ -108,7 +108,7 @@ def test_symmetry_and_permutation_equivariance(masks):
 def random_model(seed, dims=(3, 6, 3), sparsity=0.4):
     from unprune.prune import prune_magnitude
 
-    model = init_model(mlp_specs(list(dims)), SeededRng(seed))
+    model = init_model(list(dims), SeededRng(seed))
     for w in model.weights:
         w += SeededRng(seed + 1).normal(w.size, 0.0, 0.3).reshape(w.shape)
     prune_magnitude(model, sparsity)
@@ -127,16 +127,16 @@ def test_kl_asymmetric():
 
 def test_kl_closed_form_gaussian_case():
     # Masked values with exact sample moments N(0,1) vs N(1,1): KL = 0.5/layer.
-    a = init_model(mlp_specs([2, 2]), SeededRng(0))
-    b = init_model(mlp_specs([2, 2]), SeededRng(0))
+    a = init_model([2, 2], SeededRng(0))
+    b = init_model([2, 2], SeededRng(0))
     a.weights[0][...] = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     b.weights[0][...] = np.array([[0.0, 2.0], [0.0, 2.0]])
     assert kl_masked_weights(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kl_degenerate_variance_floored_and_flagged():
-    a = init_model(mlp_specs([2, 2]), SeededRng(0))
-    b = init_model(mlp_specs([2, 2]), SeededRng(0))
+    a = init_model([2, 2], SeededRng(0))
+    b = init_model([2, 2], SeededRng(0))
     a.weights[0][...] = 0.0
     b.weights[0][...] = 0.0
     with pytest.warns(UserWarning, match="floored"):

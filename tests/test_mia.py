@@ -17,7 +17,7 @@ from unprune.mia import (
     ratio_sweep,
     sweep_to_csv,
 )
-from unprune.model import init_model, mlp_specs
+from unprune.model import init_model
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.train import TrainCfg, train_with_cfg
@@ -39,7 +39,7 @@ def trained():
 
 
 def test_uniform_softmax_entropy_is_log_c():
-    model = init_model(mlp_specs([2, 3]), SeededRng(0))
+    model = init_model([2, 3], SeededRng(0))
     for w in model.weights:
         w[...] = 0.0
     data = gen_blobs(SeededRng(1), 5, 3, 2, 1.0)
@@ -49,7 +49,7 @@ def test_uniform_softmax_entropy_is_log_c():
 
 
 def test_confident_correct_prediction_has_tiny_m_entropy():
-    model = init_model(mlp_specs([2, 2]), SeededRng(0))
+    model = init_model([2, 2], SeededRng(0))
     model.weights[0][...] = np.array([[60.0, 0.0], [-60.0, 0.0]])
     data = Dataset(inputs=np.tile([[1.0, 0.0]], (3, 1)),
                    labels=np.zeros(3, dtype=np.int64), num_classes=2,

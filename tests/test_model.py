@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,13 +7,11 @@ from hypothesis import strategies as st
 
 from unprune.errors import FormatError, InputError, ShapeError
 from unprune.model import (
-    LayerSpec,
     apply_mask,
     backward,
     forward,
     init_model,
     load_snapshot,
-    mlp_specs,
     save_snapshot,
 )
 from unprune.numeric import SeededRng
@@ -19,7 +19,7 @@ from unprune.prune import prune_magnitude, sparsity_of
 
 
 def small_model(seed=0, dims=(3, 8, 5, 3)):
-    return init_model(mlp_specs(list(dims)), SeededRng(seed))
+    return init_model(list(dims), SeededRng(seed))
 
 
 def test_init_fresh_model_dense():
@@ -41,14 +41,9 @@ def test_init_same_seed_identical():
 
 def test_init_rejects_bad_chains():
     with pytest.raises(InputError):
-        init_model([LayerSpec(2, 4), LayerSpec(5, 2, "none")], SeededRng(0))
+        init_model([2], SeededRng(0))  # no layer
     with pytest.raises(InputError):
-        init_model([LayerSpec(2, 4, "relu")], SeededRng(0))  # logits layer missing
-
-
-def test_mlp_specs_last_layer_is_logits():
-    specs = mlp_specs([2, 64, 32, 2])
-    assert [s.activation for s in specs] == ["relu", "relu", "none"]
+        init_model([2, 0, 2], SeededRng(0))  # an empty layer
 
 
 def test_forward_all_zero_mask_yields_bias():
@@ -156,7 +151,7 @@ def test_backward_duplicated_batch_same_mean_gradient():
 
 
 def test_apply_mask_hand_case():
-    model = init_model(mlp_specs([2, 1]), SeededRng(0))
+    model = init_model([2, 1], SeededRng(0))
     model.weights[0][...] = np.array([[3.0, 4.0]])
     model.masks[0][...] = np.array([[0.0, 1.0]])
     apply_mask(model)
@@ -185,9 +180,7 @@ def test_snapshot_round_trip(tmp_path):
     save_snapshot(model, path)
     loaded = load_snapshot(path)
     assert loaded.seed == model.seed
-    assert [s.activation for s in loaded.layers] == [
-        s.activation for s in model.layers
-    ]
+    assert loaded.dims == model.dims
     for a, b in zip(loaded.weights, model.weights):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -206,6 +199,17 @@ def _snapshot_bytes(tmp_path):
     save_snapshot(model, path)
     with open(path, "rb") as fh:
         return fh.read()
+
+
+# SHA-256 of ``_snapshot_bytes``: the writer must keep every snapshot and
+# cache entry byte for byte.
+SNAPSHOT_SHA256 = ("145262e14fa65c05bbcf85ce2b1f3bae"
+                   "6bf8e66a13c51e76756f1a510610f2d4")
+
+
+def test_snapshot_bytes_pinned(tmp_path):
+    raw = _snapshot_bytes(tmp_path)
+    assert hashlib.sha256(raw).hexdigest() == SNAPSHOT_SHA256
 
 
 def _load_bytes(tmp_path, raw):
@@ -227,6 +231,8 @@ def _load_bytes(tmp_path, raw):
         (b"dims=2,4,2", b"dims=2"),                  # no layer
         (b"relu,none", b"relu"),                     # activation count
         (b"relu,none", b"relu,gelu"),                # unknown activation
+        (b"relu,none", b"relu,relu"),                # ReLU on the logits
+        (b"relu,none", b"none,none"),                # a linear hidden layer
     ],
 )
 def test_snapshot_malformed_header_rejected(tmp_path, old, new):
@@ -311,7 +317,7 @@ def test_snapshot_fuzz_model_or_format_error(tmp_path, data):
         model = _load_bytes(tmp_path, bytes(raw))
     except FormatError:
         return
-    assert len(model.weights) == len(model.layers) >= 1
+    assert len(model.weights) == len(model.dims) - 1 >= 1
     for w, m in zip(model.weights, model.masks):
         assert np.isin(m, (0.0, 1.0)).all()
         assert (w[m == 0.0] == 0.0).all()

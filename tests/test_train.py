@@ -3,7 +3,7 @@ import pytest
 
 from unprune.data import Dataset, gen_blobs
 from unprune.errors import NumericError
-from unprune.model import init_model, mlp_specs
+from unprune.model import init_model
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.prune import prune_magnitude, sparsity_of
@@ -111,7 +111,7 @@ def test_evaluate_random_model_near_chance():
         num_classes=2,
         name="noise",
     )
-    model = init_model(mlp_specs([2, 16, 2]), SeededRng(123).split("init"))
+    model = init_model([2, 16, 2], SeededRng(123).split("init"))
     _, acc = evaluate(model, data, np.arange(data.n))
     assert abs(acc - 0.5) <= 0.05
 

@@ -5,7 +5,7 @@ import pytest
 
 from unprune.data import gen_blobs, split_delete
 from unprune.errors import ConfigError, InputError
-from unprune.model import backward, init_model, mlp_specs
+from unprune.model import backward, init_model
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.train import TrainCfg, evaluate, train_sgd, train_with_cfg
@@ -115,7 +115,7 @@ def test_fisher_diag_nonnegative_and_congruent(task):
 
 def test_fisher_diag_zero_for_zero_gradients():
     # Saturated logits drive the per-sample gradient to exactly zero.
-    model = init_model(mlp_specs([2, 2]), SeededRng(0))
+    model = init_model([2, 2], SeededRng(0))
     model.weights[0][...] = np.array([[400.0, 0.0], [-400.0, 0.0]])
     data = gen_blobs(SeededRng(1), 4, 2, 2, 1e-6)
     from unprune.data import Dataset
