@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Time and page-fault count of one full-batch unlearning step.
+"""Time and page-fault count of one full-batch training or unlearning step.
 
 Runs ``unlearn._descend``, the step loop of finetune and gradient ascent,
 at the four step shapes the shipped configs make: finetune on the retained
 rows and gradient ascent on the forgotten rows of configs/structured.ini
 (2-32-32-2, 720 and 80 rows) and configs/reference.ini (2-64-32-2, 360 and
-40 rows). The model is the configured architecture at its seed-0 init and
-the rows are the seed-0 deletion split. Each shape is warmed up, then timed
-``--repeats`` times over ``--steps`` steps; the script prints the median
-microseconds per step and minor page faults per step (``getrusage``).
+40 rows). It then runs ``train.train_sgd`` on all training rows of each
+config (800 and 400 rows), where one step is one epoch. The model is the
+configured architecture at its seed-0 init and the rows are the seed-0
+deletion split. Each shape is warmed up, then timed ``--repeats`` times
+over ``--steps`` steps; the script prints the median microseconds per step
+and minor page faults per step (``getrusage``).
 """
 
 import argparse
@@ -18,16 +20,21 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 from unprune.config import parse_config
 from unprune.experiment import build_data
+from unprune.numeric import SeededRng
 from unprune.oracle import build_model
+from unprune.train import train_sgd
 from unprune.unlearn import _descend
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "configs")
 SHAPES = (("structured.ini", "finetune"), ("reference.ini", "finetune"),
           ("structured.ini", "gradient_ascent"),
-          ("reference.ini", "gradient_ascent"))
+          ("reference.ini", "gradient_ascent"), ("structured.ini", "train"),
+          ("reference.ini", "train"))
 
 
 def _minor_faults() -> int:
@@ -40,19 +47,30 @@ def time_shape(config: str, method: str, steps: int, repeats: int
     cfg = parse_config(os.path.join(CONFIGS, config))
     train, _, split = build_data(cfg, 0)
     model = build_model(cfg.arch_dims(), 0)
-    # Finetune descends on the retained rows, gradient ascent ascends on
-    # the forgotten rows: a negative rate.
-    if method == "finetune":
-        role, rows = "retain", split.retain_indices
-        rate = cfg.unlearn_config(method).rate
+    # Training runs one epoch per step on every training row. Finetune
+    # descends on the retained rows, gradient ascent ascends on the
+    # forgotten rows: a negative rate.
+    if method == "train":
+        rows = np.arange(train.n)
+
+        def run(n):
+            train_sgd(model, train, rows, n, cfg.train.lr,
+                      SeededRng(0).split("train"))
     else:
-        role, rows = "forget", split.forget_indices
-        rate = -cfg.unlearn_config(method).rate
-    _descend(model, train, rows, role, max(steps // 10, 1), rate)
+        if method == "finetune":
+            role, rows = "retain", split.retain_indices
+            rate = cfg.unlearn_config(method).rate
+        else:
+            role, rows = "forget", split.forget_indices
+            rate = -cfg.unlearn_config(method).rate
+
+        def run(n):
+            _descend(model, train, rows, role, n, rate)
+    run(max(steps // 10, 1))
     micros, faults = [], []
     for _ in range(repeats):
         f0, t0 = _minor_faults(), time.perf_counter()
-        _descend(model, train, rows, role, steps, rate)
+        run(steps)
         micros.append((time.perf_counter() - t0) / steps * 1e6)
         faults.append((_minor_faults() - f0) / steps)
     dims = "-".join(str(d) for d in cfg.arch_dims())

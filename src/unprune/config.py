@@ -68,6 +68,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.images and self.labels):
             raise ConfigError("idx datasets need images= and labels= paths")
+        # One class gives a loss that is identically 0: nothing would train.
+        if self.classes < 2:
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if self.train.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.train.epochs}")
         if not (math.isfinite(self.train.lr) and self.train.lr >= 0):

@@ -159,43 +159,57 @@ def mia_evaluate(
     too small, flagged in the report); each channel is fit on a held-in half
     and scored on the held-out half by the best threshold per channel.
     """
+    return _attacker(model, member_data, member_rows, nonmember_data,
+                     nonmember_rows)(ratio, rng)
+
+
+def _attacker(model, member_data, member_rows, nonmember_data,
+              nonmember_rows):
+    """``mia_evaluate`` as a function of (ratio, rng), with the rows checked
+    and the non-members featurized once for every ratio it is called at."""
     member_rows = np.asarray(member_rows, dtype=np.int64)
     nonmember_rows = np.asarray(nonmember_rows, dtype=np.int64)
     if len(member_rows) == 0 or len(nonmember_rows) == 0:
         raise InputError("member and non-member row sets must be nonempty")
-    if ratio <= 0:
-        raise InputError(f"ratio must be > 0, got {ratio}")
-    n_member = round_count(ratio * len(nonmember_rows))
-    if n_member < 2 or len(nonmember_rows) < 2:
-        raise InputError(
-            "degenerate attack set: need at least 2 members and 2 non-members"
-        )
-    replace = n_member > len(member_rows)
-    picked = member_rows[rng.choice(len(member_rows), n_member, replace=replace)]
-
-    feats_m = mia_features(model, member_data, picked)
     feats_n = mia_features(model, nonmember_data, nonmember_rows)
 
-    half_m = n_member // 2
-    half_n = len(nonmember_rows) // 2
-    order_m = rng.permutation(n_member)
-    order_n = rng.permutation(len(nonmember_rows))
+    def evaluate(ratio: float, rng: SeededRng) -> MIAReport:
+        if ratio <= 0:
+            raise InputError(f"ratio must be > 0, got {ratio}")
+        n_member = round_count(ratio * len(nonmember_rows))
+        if n_member < 2 or len(nonmember_rows) < 2:
+            raise InputError(
+                "degenerate attack set: need at least 2 members and 2 "
+                "non-members"
+            )
+        replace = n_member > len(member_rows)
+        picked = member_rows[rng.choice(len(member_rows), n_member,
+                                        replace=replace)]
+        feats_m = mia_features(model, member_data, picked)
 
-    scores = {}
-    for channel in CHANNELS:
-        vals_m = feats_m[channel][order_m]
-        vals_n = feats_n[channel][order_n]
-        threshold, direction = _fit_threshold(vals_m[:half_m], vals_n[:half_n])
-        scores[channel] = _score_threshold(
-            threshold, direction, vals_m[half_m:], vals_n[half_n:]
+        half_m = n_member // 2
+        half_n = len(nonmember_rows) // 2
+        order_m = rng.permutation(n_member)
+        order_n = rng.permutation(len(nonmember_rows))
+
+        scores = {}
+        for channel in CHANNELS:
+            vals_m = feats_m[channel][order_m]
+            vals_n = feats_n[channel][order_n]
+            threshold, direction = _fit_threshold(vals_m[:half_m],
+                                                  vals_n[:half_n])
+            scores[channel] = _score_threshold(
+                threshold, direction, vals_m[half_m:], vals_n[half_n:]
+            )
+        return MIAReport(
+            ratio=float(ratio),
+            n_member=n_member,
+            n_nonmember=len(nonmember_rows),
+            resampled_with_replacement=replace,
+            **scores,
         )
-    return MIAReport(
-        ratio=float(ratio),
-        n_member=n_member,
-        n_nonmember=len(nonmember_rows),
-        resampled_with_replacement=replace,
-        **scores,
-    )
+
+    return evaluate
 
 
 def ratio_sweep(
@@ -210,18 +224,16 @@ def ratio_sweep(
     """One MIAReport per ratio: the fragility curve.
 
     Each sweep point derives its own stream from the ratio value, so equal
-    ratios always reproduce identical reports regardless of position.
+    ratios always reproduce identical reports regardless of position. The
+    model and the non-member rows are the same at every ratio, so they are
+    featurized once.
     """
     if not len(ratios):
         raise InputError("ratios must be nonempty")
     with blas_scope():
-        return [
-            mia_evaluate(
-                model, member_data, member_rows, nonmember_data, nonmember_rows,
-                r, rng.split(f"ratio={float(r)!r}"),
-            )
-            for r in ratios
-        ]
+        evaluate = _attacker(model, member_data, member_rows, nonmember_data,
+                             nonmember_rows)
+        return [evaluate(r, rng.split(f"ratio={float(r)!r}")) for r in ratios]
 
 
 def sweep_to_csv(reports: list[MIAReport], path: str) -> None:

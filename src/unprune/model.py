@@ -94,15 +94,17 @@ def init_model(dims: list[int], rng: SeededRng) -> MaskedModel:
                        init_snapshot=[w.copy() for w in weights], seed=rng.seed)
 
 
-def _forward_trace(model: MaskedModel, inputs: np.ndarray
+def _forward_trace(model: MaskedModel, inputs: np.ndarray, product=None
                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Returns (per-layer activations incl. input, per-hidden-layer ReLU masks).
 
     A hidden layer's mask is its boolean ``z > 0`` on the pre-activation
     ``z``, taken once; the layer then applies ReLU in ``z`` itself, so its
     activation is the only (batch, width) array it allocates. The last
-    layer's ``z`` is the logits.
+    layer's ``z`` is the logits. ``product`` runs each ``z = x W^T``; it
+    defaults to this module's ``matmul``, looked up at call time.
     """
+    product = product or matmul
     x = np.asarray(inputs, dtype=np.float64)
     width = model.weights[0].shape[1]
     if x.ndim != 2 or x.shape[1] != width:
@@ -111,7 +113,7 @@ def _forward_trace(model: MaskedModel, inputs: np.ndarray
     masks = []
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = matmul(acts[-1], w.T)
+        z = product(acts[-1], w.T)
         z += b
         if l < last:
             masks.append(z > 0.0)
@@ -137,37 +139,54 @@ def backward(
     return loss, _backward_from_trace(model, trace, delta)
 
 
-def _backward_from_trace(model: MaskedModel, trace,
-                         delta: np.ndarray) -> GradientSet:
+def _backward_from_trace(model: MaskedModel, trace, delta: np.ndarray,
+                         product=None, into: GradientSet | None = None
+                         ) -> GradientSet:
     """Parameter gradients from a ``_forward_trace`` and the logit gradient.
 
     A bias gradient is the column sum of its layer's delta. ``einsum`` adds
     the rows in the order ``sum(axis=0)`` does, at less cost, for two or
     more columns; over one column ``sum`` adds pairwise, so a width-1 layer
     keeps it.
+
+    ``product`` runs the products, as in ``_forward_trace``. Without
+    ``into`` the gradients are new arrays. With ``into``, arrays shaped like
+    the parameters, each gradient is written into its array and ``into`` is
+    returned; ``product`` must then take ``out``, as ``numeric._product``
+    does.
     """
+    product = product or matmul
     acts, masks = trace
-    g_w = [None] * len(model.weights)
-    g_b = [None] * len(model.weights)
-    for l, d in _layer_deltas(model, masks, delta):
-        g_w[l] = matmul(d.T, acts[l])
-        g_b[l] = np.einsum("ij->j", d) if d.shape[1] > 1 else d.sum(axis=0)
-    return GradientSet(weights=g_w, biases=g_b)
+    fresh = into is None
+    if fresh:
+        into = GradientSet(weights=[None] * len(model.weights),
+                           biases=[None] * len(model.weights))
+    for l, d in _layer_deltas(model, masks, delta, product):
+        if fresh:
+            into.weights[l] = product(d.T, acts[l])
+        else:
+            product(d.T, acts[l], out=into.weights[l])
+        gb = into.biases[l]  # None when fresh: numpy then allocates
+        into.biases[l] = (np.einsum("ij->j", d, out=gb) if d.shape[1] > 1
+                          else d.sum(axis=0, out=gb))
+    return into
 
 
 def _layer_deltas(model: MaskedModel, masks: list[np.ndarray],
-                  delta: np.ndarray):
+                  delta: np.ndarray, product=None):
     """Yield ``(l, delta)`` from the last layer down: the ReLU recursion.
 
     ``delta`` is the loss gradient at layer ``l``'s pre-activation; the caller
-    uses it before the next is made, so matmuls run dW(L-1), dX(L-1), ...
+    uses it before the next is made, so products run dW(L-1), dX(L-1), ...
     ``masks`` come from the ``_forward_trace`` of the batch, and the recursion
     reads the live ``model.weights``: they must not change between the two.
+    ``product`` runs each ``dX = delta W``, as in ``_forward_trace``.
     """
+    product = product or matmul
     for l in range(len(model.weights) - 1, -1, -1):
         yield l, delta
         if l > 0:
-            delta = matmul(delta, model.weights[l])
+            delta = product(delta, model.weights[l])
             delta *= masks[l - 1]
 
 

@@ -5,19 +5,24 @@ goes through ``SeededRng``, a counter-based (Philox) stream that can be
 split into independent named sub-streams, so that e.g. the deletion split,
 the weight init and the scrubbing noise never share state.
 
-``matmul`` is the package's only BLAS call. It runs each product on one
-OpenBLAS thread: the products are small (the largest on the shipped tasks is
+``_product`` is the package's one product site: ``a @ b`` and a
+finiteness guard, with no operand checks. ``matmul`` checks its operands and
+then calls it; ``model``'s forward pass and backward recursion call
+``matmul`` unless their caller passes ``_product``, and the two step loops
+(``train.train_sgd``, ``unlearn._descend``) pass it, since their operand
+shapes cannot change inside the loop. Each product runs on one OpenBLAS
+thread: the products are small (the largest on the shipped tasks is
 800 x 32 x 32), and on two cores a second thread doubled a run's CPU time
 without shortening its wall time. OpenBLAS splits a product across threads
 by output blocks, never along the reduction, so the result is the same bit
 for bit.
 
 The thread count and the floating-point error state are set by
-``blas_scope``. The step loops (``train.train_sgd``, ``unlearn._descend``),
-``core.unprune`` and ``mia.ratio_sweep`` each open one scope around their
-loop, so a loop sets the count once and restores it when the scope exits,
-however many products it runs; a ``matmul`` outside any scope opens one for
-its own product.
+``blas_scope``. The step loops, ``core.unprune`` and ``mia.ratio_sweep``
+each open one scope around their loop, so a loop sets the count once and
+restores it when the scope exits, however many products it runs; a
+``matmul`` outside any scope opens one for its own product. ``_product``
+opens none: it runs in its caller's scope.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import hashlib
+import math
 import os
 from contextlib import contextmanager
 
@@ -118,8 +124,8 @@ def blas_scope():
     enters ``np.errstate(over="ignore", invalid="ignore")``; its exit,
     normal or by a raise, restores both. A nested entry does nothing, so a
     loop that opens a scope pays for the thread calls and the error state
-    once, and the ``matmul`` calls inside it pay for neither. Overflow in
-    the block raises no warning; ``matmul``'s finiteness guard and the loss
+    once, and the products inside it pay for neither. Overflow in the
+    block raises no warning; ``_product``'s finiteness guard and the loss
     checks turn a non-finite value into ``NumericError``. The count is
     process-wide, so scopes opened from several Python threads at once
     could restore it out of order; the package opens none that way.
@@ -143,10 +149,11 @@ def blas_scope():
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two 2-d float64 arrays, on one BLAS thread.
 
-    Inside a ``blas_scope`` the product runs in the scope's thread count and
-    error state; outside one, ``matmul`` opens a scope for its own product,
-    so the thread count is put back to what it was when the call returns or
-    raises. Either way a non-finite product raises ``NumericError``.
+    Checks the operands, then runs ``_product``. Inside a ``blas_scope`` the
+    product runs in the scope's thread count and error state; outside one,
+    ``matmul`` opens a scope for its own product, so the thread count is put
+    back to what it was when the call returns or raises. Either way a
+    non-finite product raises ``NumericError``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -155,11 +162,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     if _scope_open:
-        out = a @ b
-    else:
-        with blas_scope():
-            out = a @ b
-    if not np.isfinite(out).all():
+        return _product(a, b)
+    with blas_scope():
+        return _product(a, b)
+
+
+def _product(a: np.ndarray, b: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, written into ``out`` if given; a non-finite product raises
+    ``NumericError``.
+
+    The operands are not checked: the caller passes 2-d float64 arrays that
+    agree, and runs the product inside a ``blas_scope``. The guard is the
+    product's sum of squares, one BLAS call: it is finite only if every
+    entry is, and when finite entries overflow it, ``np.isfinite`` decides.
+    """
+    out = np.matmul(a, b, out=out)
+    flat = out.reshape(-1)
+    if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
         raise NumericError("matmul produced non-finite values")
     return out
 
@@ -220,6 +240,12 @@ def _true_class_index(labels: np.ndarray, batch: int, classes: int) -> np.ndarra
     if labels.min() < 0 or labels.max() >= classes:
         raise InputError(f"labels must lie in [0, {classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
+    return _class_index(labels, batch, classes)
+
+
+def _class_index(labels: np.ndarray, batch: int, classes: int) -> np.ndarray:
+    """``_true_class_index`` without its checks, for int64 labels that
+    passed them in another order."""
     if classes < CLASS_MAJOR_BELOW:
         return labels * batch + np.arange(batch)
     return np.arange(batch) * classes + labels

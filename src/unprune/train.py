@@ -4,12 +4,23 @@ No minibatches, momentum, weight decay or schedules: the simplest
 optimizer keeps seed-for-seed comparisons between runs interpretable.
 Masks are applied before the first step and re-applied after every step,
 so training never changes the topology.
+
+Training and the gradient unlearners (``unlearn._descend``) run one step,
+``_FlatStep``. It copies the model's weights and biases into one flat
+float64 vector and works on views into it: each weight gradient is
+written into its view of a gradient vector in the same layout, the update
+is two vector operations, and training re-applies the mask as one
+multiply of the weight region by the flat mask. Its products go through
+``numeric._product``, with the operand checks that ``matmul`` makes on
+every call left out. When the loop returns or raises, the vector is copied
+back into the model's arrays. Every value is computed as a per-layer step
+computes it, so the weights are the same bit for bit.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,8 +29,9 @@ from .errors import InputError, NumericError
 from .model import (GradientSet, MaskedModel, _backward_from_trace,
                     _forward_trace, apply_mask, forward)
 from .model import backward  # noqa: F401  (perfbench wraps unprune.train.backward)
-from .numeric import (SeededRng, _cross_entropy_rows, _mean_loss,
-                      _true_class_index, blas_scope, softmax_cross_entropy)
+from .numeric import (SeededRng, _class_index, _cross_entropy_rows,
+                      _mean_loss, _product, _true_class_index, blas_scope,
+                      softmax_cross_entropy)
 
 
 @dataclass(frozen=True)
@@ -71,19 +83,22 @@ def train_sgd(
         raise InputError("training index set is empty")
     if lr < 0:
         raise InputError(f"lr must be >= 0, got {lr}")
+    labels = np.asarray(dataset.labels[indices], dtype=np.int64)
+    # Checked once: each epoch's labels are these in another order.
+    _true_class_index(labels, len(indices), model.weights[-1].shape[0])
     log = TrainLog()
     apply_mask(model)
-    with blas_scope():
+    mask = model.flat_masks()
+    with _flat_step(model) as flat:
         for epoch in range(epochs):
             perm = rng.permutation(len(indices))
-            order = indices[perm]
-            x, y = dataset.inputs[order], dataset.labels[order]
+            x, y = dataset.inputs[indices[perm]], labels[perm]
             with _diverged_at(max(epoch - 1, 0)):
                 # This pass sees the model as the previous epoch left it.
-                trace = _forward_trace(model, x)
+                trace = flat.trace(x)
                 logits = trace[0][-1]
                 nll, delta = _cross_entropy_rows(
-                    logits, _true_class_index(y, *logits.shape), epoch > 0)
+                    logits, _class_index(y, *logits.shape), epoch > 0)
                 if epoch > 0:
                     # evaluate sums the per-row losses in `indices` order.
                     by_index = np.empty_like(nll)
@@ -93,25 +108,74 @@ def train_sgd(
                 accuracy = float((np.argmax(logits, axis=1) == y).mean())
                 log.record(epoch - 1, "train", loss, accuracy)
             with _diverged_at(epoch):
-                sgd_step(model, _backward_from_trace(model, trace, delta), lr)
-                apply_mask(model)
+                flat.update(trace, delta, lr)
+                flat.weights *= mask
                 if epoch == epochs - 1:
                     log.record(epoch, "train",
-                               *evaluate(model, dataset, indices))
+                               *evaluate(flat.model, dataset, indices))
     return log
 
 
-def sgd_step(model: MaskedModel, grads: GradientSet, rate: float) -> None:
-    """One in-place step ``theta -= rate * grad``; a negative rate ascends.
+class _FlatStep:
+    """The full-batch step on one flat copy of a model's parameters.
 
-    Consumes ``grads`` as scratch space and leaves the mask to the caller.
+    ``theta`` holds every layer's weights, row-major, then every layer's
+    biases, so ``weights`` is one region of it. ``model`` is the caller's
+    model with views into ``theta`` in place of its weights and biases,
+    and ``grads`` holds views into ``grad``, a vector in ``theta``'s layout.
     """
-    for w, b, gw, gb in zip(model.weights, model.biases, grads.weights,
-                            grads.biases):
-        gw *= rate
-        w -= gw
-        gb *= rate
-        b -= gb
+
+    def __init__(self, model: MaskedModel):
+        self.caller = model
+        params = model.weights + model.biases
+        self.theta = np.concatenate([p.ravel() for p in params])
+        self.grad = np.empty_like(self.theta)
+        views, grads = _views(self.theta, params), _views(self.grad, params)
+        n = len(model.weights)
+        self.weights = self.theta[:sum(w.size for w in model.weights)]
+        self.model = replace(model, weights=views[:n], biases=views[n:])
+        self.grads = GradientSet(weights=grads[:n], biases=grads[n:])
+
+    def trace(self, x: np.ndarray):
+        """``_forward_trace`` of ``model`` on the rows ``x``."""
+        return _forward_trace(self.model, x, _product)
+
+    def update(self, trace, delta: np.ndarray, rate: float) -> None:
+        """``theta -= rate * grad`` for the gradient of a ``trace`` of this
+        step's model and its logit gradient ``delta``; a negative rate
+        ascends. The mask is left to the caller."""
+        _backward_from_trace(self.model, trace, delta, _product, self.grads)
+        self.grad *= rate
+        self.theta -= self.grad
+
+    def copy_back(self) -> None:
+        """Write ``theta`` into the caller's weight and bias arrays."""
+        for mine, theirs in zip(self.model.weights + self.model.biases,
+                                self.caller.weights + self.caller.biases):
+            theirs[...] = mine
+
+
+def _views(vector: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views into ``vector`` shaped like the arrays ``like``."""
+    views, start = [], 0
+    for array in like:
+        views.append(vector[start:start + array.size].reshape(array.shape))
+        start += array.size
+    return views
+
+
+@contextmanager
+def _flat_step(model: MaskedModel):
+    """A ``_FlatStep`` on ``model`` inside one ``blas_scope``. The
+    parameters are copied back into ``model`` when the block exits, by a
+    return or a raise, so a failed step leaves the model as the last
+    finished step left it."""
+    flat = _FlatStep(model)
+    try:
+        with blas_scope():
+            yield flat
+    finally:
+        flat.copy_back()
 
 
 @contextmanager

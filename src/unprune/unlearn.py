@@ -9,7 +9,10 @@ Three desk-scale families plus a no-op ablation:
   * noop              -- identity, for ablations
 
 All methods consume and return the same model shape, so the un-pruning loop
-runs unmodified with any of them.
+runs unmodified with any of them. Gradient ascent and finetune step on
+``train``'s flat step: the model's weights and biases in one flat vector,
+updated by two vector operations per step and copied back into the model's
+arrays when the steps end or one raises.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ import numpy as np
 
 from .data import Dataset, DeletionSplit
 from .errors import ConfigError, InputError
-from .model import (GradientSet, MaskedModel, _backward_from_trace,
-                    _forward_trace, _layer_deltas)
+from .model import GradientSet, MaskedModel, _forward_trace, _layer_deltas
 from .numeric import (SeededRng, _cross_entropy_rows, _true_class_index,
-                      blas_scope, matmul, softmax)
-from .train import sgd_step
+                      matmul, softmax)
+from .train import _flat_step
 
 # The methods and the UnlearnConfig fields each one reads: its config table
 # [unlearn.<method>] takes exactly these keys, and validate checks only these.
@@ -58,7 +60,8 @@ class UnlearnConfig:
 
 def _descend(model: MaskedModel, dataset: Dataset, rows: np.ndarray,
              role: str, steps: int, rate: float) -> MaskedModel:
-    """``steps`` full-batch ``sgd_step``s on the loss over ``rows``, in place.
+    """``steps`` full-batch steps ``theta -= rate * grad`` on the loss over
+    ``rows``, in place, on ``train``'s flat step.
 
     The batch is the same every step, so its labels are checked once.
     """
@@ -67,11 +70,11 @@ def _descend(model: MaskedModel, dataset: Dataset, rows: np.ndarray,
         raise InputError(f"{role} row set is empty")
     x, y = dataset.inputs[rows], dataset.labels[rows]
     true_index = _true_class_index(y, len(rows), model.weights[-1].shape[0])
-    with blas_scope():
+    with _flat_step(model) as flat:
         for _ in range(steps):
-            trace = _forward_trace(model, x)
+            trace = flat.trace(x)
             _, delta = _cross_entropy_rows(trace[0][-1], true_index, nll=False)
-            sgd_step(model, _backward_from_trace(model, trace, delta), rate)
+            flat.update(trace, delta, rate)
     return model
 
 

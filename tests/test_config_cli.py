@@ -771,6 +771,8 @@ BAD_UNPRUNE = [
     (("hidden = 8", "mode = unstructured"), ("hidden =", "mode = structured"),
      "structured pruning needs a hidden layer"),
     ("ratio = 0.1", "ratio = 0.1\ntarget_class = 5", "target_class 5 outside"),
+    # One logit's softmax cross-entropy is 0 whatever the weights.
+    ("classes = 2", "classes = 1", "classes must be >= 2"),
 ]
 
 
@@ -779,7 +781,7 @@ BAD_UNPRUNE = [
                               "epochs", "lr", "lr_nan", "fisher_noise_scale",
                               "unused_method_table", "steps", "rate",
                               "hidden_width", "structured_no_hidden",
-                              "target_class"])
+                              "target_class", "one_class"])
 def test_bad_unprune_settings_rejected_before_training(
         tmp_path, monkeypatch, capsys, old, new, error):
     text = TINY_CONFIG

@@ -240,3 +240,58 @@ def test_failing_step_loop_restores_blas_threads(blas_threads, loop):
         assert blas_threads.sets == [1, 3]
         assert blas_threads.count == 3
         assert np.geterr() == errstate
+
+
+# The products of one step of a 3-layer net, in the order they run: the
+# forward z of layers 0-2, then dW2, dX2, dW1, dX1 and dW0.
+_PRODUCTS = ("z0", "z1", "z2", "dW2", "dX2", "dW1", "dX1", "dW0")
+
+
+@pytest.mark.parametrize("position", range(len(_PRODUCTS)), ids=_PRODUCTS)
+@pytest.mark.parametrize("loop", ["full_batch", "ascent", "finetune"])
+def test_fault_at_any_product_keeps_the_previous_step(blas_threads,
+                                                      monkeypatch, loop,
+                                                      position):
+    # The second step's product at `position` computes inf in every entry,
+    # so the product guard raises. The caller's model is then the one the
+    # first step left, bit for bit: the flat step copies it back.
+    data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
+    rows = np.arange(data.n)
+    start = _model_with_signed_zeros([2, 12, 8, 2], True, seed=9)
+
+    def run(model, steps):
+        if loop == "ascent":
+            unlearn_gradient_ascent(model, data, rows, steps, 0.05)
+        elif loop == "finetune":
+            unlearn_finetune(model, data, rows, steps, 0.05)
+        else:
+            train_sgd(model, data, rows, steps, 0.05, SeededRng(10))
+
+    expected = start.clone()
+    run(expected, 1)
+    real, calls = numeric._product, []
+
+    def faulty(a, b, out=None):
+        calls.append(a.shape)
+        if len(calls) == len(_PRODUCTS) + position + 1:
+            a, b = np.full(a.shape, np.inf), np.ones(b.shape)
+        return real(a, b, out=out)
+
+    for name in ("numeric", "train"):
+        module = importlib.import_module(f"unprune.{name}")
+        if getattr(module, "_product", None) is real:
+            monkeypatch.setattr(module, "_product", faulty)
+    model = start.clone()
+    blas_threads.sets.clear()
+    # The forward products score the model the first step left: training
+    # names epoch 0 for them and epoch 1 for a backward product.
+    match = {"full_batch": "^training diverged at epoch "
+             f"{int(position >= 3)}: matmul produced non-finite"}.get(
+        loop, "^matmul produced non-finite")
+    with pytest.raises(NumericError, match=match):
+        run(model, 3)
+    assert len(calls) == len(_PRODUCTS) + position + 1
+    _same_bits(expected.weights + expected.biases,
+               model.weights + model.biases)
+    assert blas_threads.sets == [1, 3]
+    assert blas_threads.count == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -17,7 +18,8 @@ from unprune.mia import (
     ratio_sweep,
     sweep_to_csv,
 )
-from unprune.model import init_model
+from unprune import mia as mia_module
+from unprune.model import forward, init_model
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.train import TrainCfg, train_with_cfg
@@ -110,6 +112,33 @@ def test_ratio_sweep_counts_and_repeatability(trained):
     again = ratio_sweep(model, train, split.forget_indices, test,
                         np.arange(60), [1.0, 1.0, 1.0], SeededRng(5))
     assert again[0] == again[1] == again[2]
+
+
+def test_ratio_sweep_featurizes_the_nonmembers_once(trained, monkeypatch):
+    # The model and the non-member rows are the same at every ratio; the
+    # reports equal one mia_evaluate per ratio, field for field.
+    model, train, test, split = trained
+    nonmembers = np.arange(60)
+    expected = [mia_evaluate(model, train, split.forget_indices, test,
+                             nonmembers, r,
+                             SeededRng(5).split(f"ratio={float(r)!r}"))
+                for r in MIA_RATIOS]
+    passes = []
+
+    def recording(model, inputs):
+        passes.append(np.array(inputs))
+        return forward(model, inputs)
+
+    monkeypatch.setattr(mia_module, "forward", recording)
+    reports = ratio_sweep(model, train, split.forget_indices, test,
+                          nonmembers, MIA_RATIOS, SeededRng(5))
+    assert len(MIA_RATIOS) == 9
+    assert [dataclasses.asdict(r) for r in reports] == [
+        dataclasses.asdict(r) for r in expected]
+    nonmember_inputs = test.inputs[nonmembers]
+    assert len(passes) == 10
+    assert sum(p.shape == nonmember_inputs.shape
+               and np.array_equal(p, nonmember_inputs) for p in passes) == 1
 
 
 def test_ratio_sweep_sets_blas_threads_once(trained, blas_threads):

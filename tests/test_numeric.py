@@ -49,6 +49,14 @@ def test_matmul_non_finite_product_raises_without_warning(a, b):
             matmul(a, b)
 
 
+def test_matmul_large_finite_product_passes_the_guard():
+    # 1e200 is finite; its square, which the guard sums first, is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = matmul(np.full((2, 3), 1e200), np.full((3, 2), 1.0))
+    assert np.array_equal(out, np.full((2, 2), 3e200))
+
+
 def test_matmul_runs_on_one_thread_then_restores(blas_threads):
     a = np.arange(6, dtype=float).reshape(2, 3)
     out = matmul(a, a.T)
