@@ -6,11 +6,14 @@ at the four step shapes the shipped configs make: finetune on the retained
 rows and gradient ascent on the forgotten rows of configs/structured.ini
 (2-32-32-2, 720 and 80 rows) and configs/reference.ini (2-64-32-2, 360 and
 40 rows). It then runs ``train.train_sgd`` on all training rows of each
-config (800 and 400 rows), where one step is one epoch. The model is the
-configured architecture at its seed-0 init and the rows are the seed-0
-deletion split. Each shape is warmed up, then timed ``--repeats`` times
-over ``--steps`` steps; the script prints the median microseconds per step
-and minor page faults per step (``getrusage``).
+config (800 and 400 rows), where one step is one epoch, and
+``mia.ratio_sweep`` at the config's 9 shadow ratios with the forgotten rows
+as members and the first 80 test rows as non-members (80 and 40 member
+rows), where one step is one sweep. The model is the configured
+architecture at its seed-0 init and the rows are the seed-0 deletion split.
+Each shape is warmed up, then timed ``--repeats`` times over ``--steps``
+steps; the script prints the median microseconds per step and minor page
+faults per step (``getrusage``).
 """
 
 import argparse
@@ -24,6 +27,7 @@ import numpy as np
 
 from unprune.config import parse_config
 from unprune.experiment import build_data
+from unprune.mia import ratio_sweep
 from unprune.numeric import SeededRng
 from unprune.oracle import build_model
 from unprune.train import train_sgd
@@ -34,7 +38,9 @@ CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
 SHAPES = (("structured.ini", "finetune"), ("reference.ini", "finetune"),
           ("structured.ini", "gradient_ascent"),
           ("reference.ini", "gradient_ascent"), ("structured.ini", "train"),
-          ("reference.ini", "train"))
+          ("reference.ini", "train"), ("structured.ini", "mia_sweep"),
+          ("reference.ini", "mia_sweep"))
+MIA_NONMEMBERS = 80
 
 
 def _minor_faults() -> int:
@@ -45,12 +51,20 @@ def time_shape(config: str, method: str, steps: int, repeats: int
                ) -> tuple[int, str, float, float]:
     """(rows, dims, median µs per step, median minor faults per step)."""
     cfg = parse_config(os.path.join(CONFIGS, config))
-    train, _, split = build_data(cfg, 0)
+    train, test, split = build_data(cfg, 0)
     model = build_model(cfg.arch_dims(), 0)
     # Training runs one epoch per step on every training row. Finetune
     # descends on the retained rows, gradient ascent ascends on the
-    # forgotten rows: a negative rate.
-    if method == "train":
+    # forgotten rows: a negative rate. A sweep attacks the forgotten rows.
+    if method == "mia_sweep":
+        rows = split.forget_indices
+
+        def run(n):
+            for _ in range(n):
+                ratio_sweep(model, train, rows, test,
+                            np.arange(MIA_NONMEMBERS), cfg.mia_ratios,
+                            SeededRng(0).split("mia"))
+    elif method == "train":
         rows = np.arange(train.n)
 
         def run(n):

@@ -6,6 +6,20 @@ member/non-member pool and scored on the held-out half with balanced attack
 accuracy. Members are resampled to a requested member:non-member ratio,
 which is the knob the fragility study sweeps: tiny ratio perturbations move
 the fitted thresholds and the scores with them.
+
+A sweep is one batched attack. The member pool and the non-member pool are
+each featurized once (two forward passes per sweep), and each ratio gathers
+the feature rows of the members it drew, from its own
+``rng.split("ratio=...")`` stream. Every (channel, ratio) row is then fitted
+in one exact rank computation, ``_fit_thresholds``: one stable argsort of
+the NaN-padded fit halves and cumulative member and non-member counts at
+the cuts between distinct values give every candidate's accuracy, and the
+1e-15 tie rule is scanned over the strict prefix maxima only. Held-out
+scores are direct comparison counts (``_score_thresholds``). The result
+equals a per-candidate comparison loop bit for bit (``tests/test_mia.py``).
+Every ratio reads the same forward pass of the member pool, so a member's
+features do not depend on how many members the ratio drew (BLAS rounds the
+last bits of a row differently by batch size).
 """
 
 from __future__ import annotations
@@ -75,71 +89,124 @@ def mia_features(
     }
 
 
-def _member_counts(sorted_vals: np.ndarray, thresholds, direction: int):
-    """How many of ``sorted_vals`` each threshold predicts as members.
-
-    The single definition of a threshold prediction: direction +1 predicts
-    member when value >= threshold, -1 when value <= threshold.
-    ``sorted_vals`` must be ascending (``np.sort``).
-    """
-    if direction == 1:
-        return len(sorted_vals) - np.searchsorted(sorted_vals, thresholds, "left")
-    return np.searchsorted(sorted_vals, thresholds, "right")
+def _sorted_pool(fit_m: np.ndarray, fit_n: np.ndarray):
+    """Each row's pooled fit values in ascending order, NaN pads last, and
+    which of them came from the member side. (A function of its own so the
+    pooled copy and the sort order are freed before the counts are built.)"""
+    pooled = np.concatenate([fit_m, fit_n], axis=1)
+    order = np.argsort(pooled, axis=1, kind="stable")
+    return np.take_along_axis(pooled, order, axis=1), order < fit_m.shape[1]
 
 
-def _balanced_accuracies(member_sorted, nonmember_sorted, thresholds, direction):
-    """Balanced accuracy (TPR + TNR) / 2 of every threshold.
+def _fit_thresholds(fit_m: np.ndarray, fit_n: np.ndarray):
+    """Best (threshold, direction) of every row of a batch of fit pools.
 
-    ``bool_array.mean()`` of a prediction is a float64 sum of ones divided
-    by the length, so count / length here goes through the same IEEE
-    operations and every element equals the per-threshold score bit for bit.
-    """
-    tpr = _member_counts(member_sorted, thresholds, direction) / len(member_sorted)
-    tnr = 1.0 - _member_counts(nonmember_sorted, thresholds, direction) / len(
-        nonmember_sorted
-    )
-    return (tpr + tnr) / 2.0
-
-
-def _fit_threshold(member_vals: np.ndarray, nonmember_vals: np.ndarray):
-    """Pick (threshold, direction) maximizing balanced accuracy on the fit pool.
+    Row r's member and non-member fit values are the non-NaN entries of
+    ``fit_m[r]`` and ``fit_n[r]``; NaN pads rows of unequal size, sorts
+    last and is never counted. Values must be finite, and so must the sum
+    of any two. Direction +1 predicts member when value >= threshold, -1
+    when value <= threshold.
 
     Candidates are the midpoints between consecutive distinct pooled values
-    plus one point below the smallest and one above the largest. Both sides
-    are sorted once, and ``np.searchsorted`` counts the predicted members of
-    every candidate in both directions in one pass, giving a
-    (candidates, 2) accuracy table.
+    plus one point below the smallest and one above the largest. One stable
+    argsort of the pooled rows puts every candidate at a boundary between
+    runs of equal values, and cumulative member and non-member counts at
+    the boundary give each candidate's predictions in both directions. A
+    midpoint of adjacent doubles rounds onto an endpoint, which then counts
+    as predicted too: the count moves to the start of the run below (+1) or
+    the end of the run above (-1). Accuracies are count / n, 1.0 - count /
+    n and (tpr + tnr) / 2.0 of the same integer counts that a comparison
+    and ``bool_array.mean()`` per candidate make, so they are equal bit for
+    bit.
 
-    Tie rule: the table is scanned in ascending threshold order, direction
-    +1 before -1, and a candidate replaces the best only when it beats it by
-    more than 1e-15. Ties therefore resolve to the lowest threshold with +1
-    preferred, so the fit is deterministic for identical inputs. ``argmax``
-    is not used because it is not this rule: it takes the first exact
-    maximum, while the scan keeps an earlier accuracy that a later one beats
-    by at most 1e-15 (accuracies that are equal in exact arithmetic can
-    round one ulp apart). Values must be finite.
+    Tie rule: the candidates are scanned in ascending threshold order,
+    direction +1 before -1, and one replaces the best only when it beats it
+    by more than 1e-15. Ties therefore resolve to the lowest threshold with
+    +1 preferred, so the fit is deterministic for identical inputs. Every
+    candidate the rule accepts is a strict prefix maximum of the scan, so
+    only those are scanned; where each beats the one before by more than
+    1e-15, the last of them, the first maximum, is the answer. ``argmax``
+    alone is not the rule: the scan keeps an earlier accuracy that a later
+    one beats by at most 1e-15 (accuracies that are equal in exact
+    arithmetic can round one ulp apart).
     """
-    member_sorted = np.sort(member_vals)
-    nonmember_sorted = np.sort(nonmember_vals)
-    cuts = np.unique(np.concatenate([member_sorted, nonmember_sorted]))
-    candidates = np.concatenate([[cuts[0] - 1.0], (cuts[:-1] + cuts[1:]) / 2.0,
-                                 [cuts[-1] + 1.0]])
-    acc = np.stack(
-        [_balanced_accuracies(member_sorted, nonmember_sorted, candidates, d)
-         for d in (1, -1)],
-        axis=1,
-    )
-    best_acc, best = -1.0, 0
-    for k, value in enumerate(acc.ravel().tolist()):
-        if value > best_acc + 1e-15:
-            best_acc, best = value, k
-    return float(candidates[best // 2]), (1, -1)[best % 2]
+    vals, from_m = _sorted_pool(fit_m, fit_n)
+    rows, width = vals.shape
+    r = np.arange(rows)[:, None]
+    col = np.arange(width + 1, dtype=np.int32)
+    n_m = np.count_nonzero(~np.isnan(fit_m), axis=1)[:, None]
+    n_n = np.count_nonzero(~np.isnan(fit_n), axis=1)[:, None]
+    size = n_m + n_n
+    # Cut i lies between sorted values i - 1 and i; cut `size` lies above
+    # the last value. m_below[i] members and n_below[i] non-members lie
+    # below cut i (for i <= size: the NaN pads sort after every value).
+    m_below = np.zeros((rows, width + 1), np.int32)
+    np.cumsum(from_m, axis=1, out=m_below[:, 1:])
+    n_below = col - m_below
+    cand = np.full((rows, width + 1), np.nan)
+    np.add(vals[:, :-1], vals[:, 1:], out=cand[:, 1:-1])
+    cand[:, 1:-1] /= 2.0
+    cand[:, 0] = vals[:, 0] - 1.0
+    cand[r, size] = vals[r, size - 1] + 1.0
+    boundary = np.ones((rows, width + 1), bool)
+    np.not_equal(vals[:, :-1], vals[:, 1:], out=boundary[:, 1:-1])
+    boundary &= col <= size
+
+    # +1 hits are the values at or above a cut, -1 hits those below it. A
+    # candidate that rounds onto the value below its cut also predicts that
+    # value's whole run at +1, so it takes the +1 hits of the cut that
+    # starts the run; one that rounds onto the value above takes the -1
+    # hits of the cut that ends that run. Every row starts and ends with a
+    # cut, so the neighbouring cut in the flat list is in the same row.
+    cuts = np.flatnonzero(boundary)
+    onto_lo = np.zeros_like(boundary)
+    np.equal(cand[:, 1:], vals, out=onto_lo[:, 1:])
+    onto_hi = np.zeros_like(boundary)
+    np.equal(cand[:, :-1], vals, out=onto_hi[:, :-1])
+    at_lo = np.flatnonzero(onto_lo & boundary)
+    at_hi = np.flatnonzero(onto_hi & boundary)
+    run_start = cuts[np.searchsorted(cuts, at_lo) - 1]
+    run_end = cuts[np.searchsorted(cuts, at_hi, "right")]
+    m_up, n_up = n_m - m_below, n_n - n_below
+    m_up.flat[at_lo] = m_up.flat[run_start]
+    n_up.flat[at_lo] = n_up.flat[run_start]
+    m_below.flat[at_hi] = m_below.flat[run_end]
+    n_below.flat[at_hi] = n_below.flat[run_end]
+
+    # The scan order: candidate by candidate, direction +1 then -1.
+    acc = np.empty((rows, width + 1, 2))
+    acc[:, :, 0] = (m_up / n_m + (1.0 - n_up / n_n)) / 2.0
+    acc[:, :, 1] = (m_below / n_m + (1.0 - n_below / n_n)) / 2.0
+    acc[~boundary] = -np.inf
+    acc = acc.reshape(rows, -1)
+
+    best = np.argmax(acc, axis=1)
+    prev = np.maximum.accumulate(acc, axis=1)[:, :-1]
+    rise = acc[:, 1:] > prev
+    close = rise & (acc[:, 1:] <= prev + 1e-15)
+    for row in np.flatnonzero(close.any(axis=1)).tolist():
+        best_acc, best_k = float(acc[row, 0]), 0
+        for k in (np.flatnonzero(rise[row]) + 1).tolist():
+            if acc[row, k] > best_acc + 1e-15:
+                best_acc, best_k = float(acc[row, k]), k
+        best[row] = best_k
+    return cand[r[:, 0], best // 2], np.where(best % 2, -1, 1)
 
 
-def _score_threshold(threshold, direction, member_vals, nonmember_vals) -> float:
-    return float(_balanced_accuracies(
-        np.sort(member_vals), np.sort(nonmember_vals), threshold, direction
-    ))
+def _score_thresholds(thresholds, directions, held_m, held_n) -> np.ndarray:
+    """Held-out balanced accuracy of each row's (threshold, direction).
+
+    Rows are NaN-padded as in ``_fit_thresholds``; a NaN compares false, so
+    only the row's values are counted.
+    """
+    t = thresholds[:, None]
+    up = (directions == 1)[:, None]
+
+    def rate(vals):
+        hits = np.count_nonzero(np.where(up, vals >= t, vals <= t), axis=1)
+        return hits / np.count_nonzero(~np.isnan(vals), axis=1)
+
+    return (rate(held_m) + (1.0 - rate(held_n))) / 2.0
 
 
 def mia_evaluate(
@@ -159,57 +226,76 @@ def mia_evaluate(
     too small, flagged in the report); each channel is fit on a held-in half
     and scored on the held-out half by the best threshold per channel.
     """
-    return _attacker(model, member_data, member_rows, nonmember_data,
-                     nonmember_rows)(ratio, rng)
+    return _attack(model, member_data, member_rows, nonmember_data,
+                   nonmember_rows, [(ratio, rng)])[0]
 
 
-def _attacker(model, member_data, member_rows, nonmember_data,
-              nonmember_rows):
-    """``mia_evaluate`` as a function of (ratio, rng), with the rows checked
-    and the non-members featurized once for every ratio it is called at."""
+def _attack(model, member_data, member_rows, nonmember_data, nonmember_rows,
+            draws):
+    """``mia_evaluate`` at every (ratio, rng) of ``draws``, as one batch.
+
+    Each pool is featurized once; each ratio draws member indices into the
+    member pool and gathers their feature rows. Every (channel, ratio) row
+    is then fitted and scored in one ``_fit_thresholds`` and one
+    ``_score_thresholds`` call.
+    """
     member_rows = np.asarray(member_rows, dtype=np.int64)
     nonmember_rows = np.asarray(nonmember_rows, dtype=np.int64)
     if len(member_rows) == 0 or len(nonmember_rows) == 0:
         raise InputError("member and non-member row sets must be nonempty")
+    n_pool, n_non = len(member_rows), len(nonmember_rows)
     feats_n = mia_features(model, nonmember_data, nonmember_rows)
 
-    def evaluate(ratio: float, rng: SeededRng) -> MIAReport:
+    member_orders, nonmember_orders, replaced = [], [], []
+    for ratio, rng in draws:
         if ratio <= 0:
             raise InputError(f"ratio must be > 0, got {ratio}")
-        n_member = round_count(ratio * len(nonmember_rows))
-        if n_member < 2 or len(nonmember_rows) < 2:
+        n_member = round_count(ratio * n_non)
+        if n_member < 2 or n_non < 2:
             raise InputError(
                 "degenerate attack set: need at least 2 members and 2 "
                 "non-members"
             )
-        replace = n_member > len(member_rows)
-        picked = member_rows[rng.choice(len(member_rows), n_member,
-                                        replace=replace)]
-        feats_m = mia_features(model, member_data, picked)
+        replaced.append(n_member > n_pool)
+        chosen = rng.choice(n_pool, n_member, replace=replaced[-1])
+        member_orders.append(chosen[rng.permutation(n_member)])
+        nonmember_orders.append(rng.permutation(n_non))
+    feats_m = mia_features(model, member_data, member_rows)
 
-        half_m = n_member // 2
-        half_n = len(nonmember_rows) // 2
-        order_m = rng.permutation(n_member)
-        order_n = rng.permutation(len(nonmember_rows))
-
-        scores = {}
-        for channel in CHANNELS:
-            vals_m = feats_m[channel][order_m]
-            vals_n = feats_n[channel][order_n]
-            threshold, direction = _fit_threshold(vals_m[:half_m],
-                                                  vals_n[:half_n])
-            scores[channel] = _score_threshold(
-                threshold, direction, vals_m[half_m:], vals_n[half_n:]
-            )
-        return MIAReport(
+    # (channel, pool row) feature tables; the member table's extra NaN
+    # column is the pad of the shorter member halves.
+    table_m = np.stack([np.append(feats_m[c], np.nan) for c in CHANNELS])
+    table_n = np.stack([feats_n[c] for c in CHANNELS])
+    fit_m = _padded([o[:len(o) // 2] for o in member_orders], n_pool)
+    held_m = _padded([o[len(o) // 2:] for o in member_orders], n_pool)
+    order_n = np.stack(nonmember_orders)
+    half_n = n_non // 2
+    rows = len(CHANNELS) * len(draws)
+    thresholds, directions = _fit_thresholds(
+        table_m[:, fit_m].reshape(rows, -1),
+        table_n[:, order_n[:, :half_n]].reshape(rows, -1))
+    scores = _score_thresholds(
+        thresholds, directions, table_m[:, held_m].reshape(rows, -1),
+        table_n[:, order_n[:, half_n:]].reshape(rows, -1),
+    ).reshape(len(CHANNELS), len(draws))
+    return [
+        MIAReport(
             ratio=float(ratio),
-            n_member=n_member,
-            n_nonmember=len(nonmember_rows),
-            resampled_with_replacement=replace,
-            **scores,
+            n_member=len(member_orders[j]),
+            n_nonmember=n_non,
+            resampled_with_replacement=replaced[j],
+            **{c: float(scores[k, j]) for k, c in enumerate(CHANNELS)},
         )
+        for j, (ratio, _) in enumerate(draws)
+    ]
 
-    return evaluate
+
+def _padded(rows, pad) -> np.ndarray:
+    """Rows of unequal length as one matrix, right-padded with ``pad``."""
+    out = np.full((len(rows), max(len(row) for row in rows)), pad)
+    for j, row in enumerate(rows):
+        out[j, :len(row)] = row
+    return out
 
 
 def ratio_sweep(
@@ -225,15 +311,15 @@ def ratio_sweep(
 
     Each sweep point derives its own stream from the ratio value, so equal
     ratios always reproduce identical reports regardless of position. The
-    model and the non-member rows are the same at every ratio, so they are
-    featurized once.
+    model and both pools are the same at every ratio, so each pool is
+    featurized once and all ratios are attacked as one batch.
     """
     if not len(ratios):
         raise InputError("ratios must be nonempty")
     with blas_scope():
-        evaluate = _attacker(model, member_data, member_rows, nonmember_data,
-                             nonmember_rows)
-        return [evaluate(r, rng.split(f"ratio={float(r)!r}")) for r in ratios]
+        return _attack(model, member_data, member_rows, nonmember_data,
+                       nonmember_rows,
+                       [(r, rng.split(f"ratio={float(r)!r}")) for r in ratios])
 
 
 def sweep_to_csv(reports: list[MIAReport], path: str) -> None:

@@ -302,14 +302,19 @@ def test_criterion_08_running_time_ordering(ref_cfg, ref_runs, ref_pruned):
 
 def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
     """Shadow-ratio sweep swings correctness >= 0.2; chance at ratio 1.0."""
-    run = ref_runs[0]
-    reports = ratio_sweep(
-        run.dense, run.train_data, run.split.forget_indices,
-        run.test_data, np.arange(40), ref_cfg.mia_ratios,
-        SeededRng(0).split("mia"),
-    )
-    corr = [r.correctness for r in reports]
-    spread = max(corr) - min(corr)
+    def correctness_spread(seed):
+        run = ref_runs[seed]
+        reports = ratio_sweep(
+            run.dense, run.train_data, run.split.forget_indices,
+            run.test_data, np.arange(40), ref_cfg.mia_ratios,
+            SeededRng(seed).split("mia"),
+        )
+        corr = [r.correctness for r in reports]
+        return max(corr) - min(corr)
+
+    # The assertion reads seed 0; the other seeds are reported alongside.
+    spreads = {seed: correctness_spread(seed) for seed in ref_cfg.seeds}
+    spread = spreads[0]
 
     # Well-generalized model: separable blobs, short clean training.
     rng = SeededRng(100)
@@ -321,9 +326,10 @@ def test_criterion_09_mia_fragility(ref_cfg, ref_runs):
     report = mia_evaluate(model, train, split.forget_indices, test,
                           np.arange(100), 1.0, SeededRng(100).split("mia-1"))
     ok = spread >= 0.2 and 0.45 <= report.correctness <= 0.55
-    assert _verdict(9, ok, f"sweep spread = {spread:.3f} (>= 0.2); "
-                           f"well-generalized correctness@1.0 = "
-                           f"{report.correctness:.3f}")
+    per_seed = ", ".join(f"{seed}: {v:.3f}" for seed, v in spreads.items())
+    assert _verdict(9, ok, f"sweep spread = {spread:.3f} (>= 0.2; by seed "
+                           f"{per_seed}); well-generalized correctness@1.0 "
+                           f"= {report.correctness:.3f}")
 
 
 # SHA-256 of the reference grid's outputs (all five seeds, no timing). A

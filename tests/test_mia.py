@@ -11,8 +11,9 @@ from unprune.data import Dataset, gen_blobs, split_delete
 from unprune.errors import InputError
 from unprune.mia import (
     CHANNELS,
-    _fit_threshold,
-    _score_threshold,
+    _fit_thresholds,
+    _padded,
+    _score_thresholds,
     mia_evaluate,
     mia_features,
     ratio_sweep,
@@ -115,8 +116,9 @@ def test_ratio_sweep_counts_and_repeatability(trained):
 
 
 def test_ratio_sweep_featurizes_the_nonmembers_once(trained, monkeypatch):
-    # The model and the non-member rows are the same at every ratio; the
-    # reports equal one mia_evaluate per ratio, field for field.
+    # The model and both pools are the same at every ratio, so a 9-ratio
+    # sweep makes two forward passes: the non-members and the member pool.
+    # The reports equal one mia_evaluate per ratio, field for field.
     model, train, test, split = trained
     nonmembers = np.arange(60)
     expected = [mia_evaluate(model, train, split.forget_indices, test,
@@ -135,10 +137,9 @@ def test_ratio_sweep_featurizes_the_nonmembers_once(trained, monkeypatch):
     assert len(MIA_RATIOS) == 9
     assert [dataclasses.asdict(r) for r in reports] == [
         dataclasses.asdict(r) for r in expected]
-    nonmember_inputs = test.inputs[nonmembers]
-    assert len(passes) == 10
-    assert sum(p.shape == nonmember_inputs.shape
-               and np.array_equal(p, nonmember_inputs) for p in passes) == 1
+    assert len(passes) == 2
+    assert np.array_equal(passes[0], test.inputs[nonmembers])
+    assert np.array_equal(passes[1], train.inputs[split.forget_indices])
 
 
 def test_ratio_sweep_sets_blas_threads_once(trained, blas_threads):
@@ -176,13 +177,18 @@ def test_sweep_csv(tmp_path, trained):
     assert len(lines) == 3
 
 
+def _predict(vals, threshold, direction):
+    return vals >= threshold if direction == 1 else vals <= threshold
+
+
+def _balanced(member_pred, nonmember_pred):
+    tpr = member_pred.mean()
+    tnr = 1.0 - nonmember_pred.mean()
+    return float((tpr + tnr) / 2.0)
+
+
 def _fit_threshold_loop(member_vals, nonmember_vals):
     """Reference: one comparison and one mean per candidate and direction."""
-    def balanced(member_pred, nonmember_pred):
-        tpr = member_pred.mean()
-        tnr = 1.0 - nonmember_pred.mean()
-        return float((tpr + tnr) / 2.0)
-
     values = np.concatenate([member_vals, nonmember_vals])
     cuts = np.unique(values)
     candidates = np.concatenate([[cuts[0] - 1.0], (cuts[:-1] + cuts[1:]) / 2.0,
@@ -190,13 +196,19 @@ def _fit_threshold_loop(member_vals, nonmember_vals):
     best = (-1.0, 0.0, 1)
     for threshold in candidates:
         for direction in (1, -1):
-            if direction == 1:
-                acc = balanced(member_vals >= threshold, nonmember_vals >= threshold)
-            else:
-                acc = balanced(member_vals <= threshold, nonmember_vals <= threshold)
+            acc = _balanced(_predict(member_vals, threshold, direction),
+                            _predict(nonmember_vals, threshold, direction))
             if acc > best[0] + 1e-15:
                 best = (acc, float(threshold), direction)
     return best[1], best[2], best[0]
+
+
+def _ulps(base, k):
+    """The double k steps of one ulp from ``base`` (toward -inf if k < 0)."""
+    value = np.float64(base)
+    for _ in range(abs(k)):
+        value = np.nextafter(value, np.copysign(np.inf, k))
+    return float(value)
 
 
 # One value kind per pool: spread floats, the 0/1 correctness channel, and
@@ -207,6 +219,23 @@ _POOL_VALUES = (
     st.integers(-8, 8).map(lambda k: k / 4.0),
     st.integers(0, 100).map(lambda k: round(k / 100.0, 2)),
 )
+# Adjacent doubles, whose midpoints round onto an endpoint (at 2**60 the
+# outer candidates value -+ 1.0 do too), and signed zeros mixed with the
+# smallest subnormals.
+_EDGE_VALUES = (
+    *(st.integers(-2, 2).map(lambda k, b=base: _ulps(b, k))
+      for base in (1.0, -0.1, 2.0 ** 60)),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]),
+)
+
+
+def _draw_pool(data, values, size):
+    return np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                    dtype=np.float64)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,16 +245,36 @@ _POOL_VALUES = (
     data=st.data(),
 )
 def test_fit_threshold_equals_loop(values, sizes, data):
-    member, nonmember = (
-        np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
-                 dtype=np.float64)
-        for n in sizes
-    )
+    member, nonmember = (_draw_pool(data, values, n) for n in sizes)
     threshold, direction, acc = _fit_threshold_loop(member, nonmember)
-    fitted = _fit_threshold(member, nonmember)
-    assert fitted == (threshold, direction)
-    assert type(fitted[0]) is float and type(fitted[1]) is int
-    assert _score_threshold(threshold, direction, member, nonmember) == acc
+    thresholds, directions = _fit_thresholds(member[None], nonmember[None])
+    assert (thresholds.tolist(), directions.tolist()) == (
+        [threshold], [direction])
+    assert _score_thresholds(thresholds, directions, member[None],
+                             nonmember[None]).tolist() == [acc]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(_POOL_VALUES + _EDGE_VALUES),
+                   min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_batched_attack_equals_loop_row_by_row(kinds, data):
+    # Each row has its own value kind and its own pool sizes; the rows are
+    # NaN-padded into one batch, as a sweep pads its ratios.
+    pools = [[_draw_pool(data, values, data.draw(st.integers(1, 30)))
+              for _ in range(4)] for values in kinds]
+    fit_m, fit_n, held_m, held_n = (_padded([row[i] for row in pools], np.nan)
+                                    for i in range(4))
+    thresholds, directions = _fit_thresholds(fit_m, fit_n)
+    scores = _score_thresholds(thresholds, directions, held_m, held_n)
+    for j, (fm, fn, hm, hn) in enumerate(pools):
+        threshold, direction, _ = _fit_threshold_loop(fm, fn)
+        assert _bits(thresholds[j]) == _bits(threshold)
+        assert directions[j] == direction
+        assert scores[j] == _balanced(_predict(hm, threshold, direction),
+                                      _predict(hn, threshold, direction))
 
 
 def test_sweep_csv_golden(tmp_path, trained):
@@ -240,11 +289,11 @@ def test_sweep_csv_golden(tmp_path, trained):
 
 
 def test_score_threshold_includes_values_at_the_threshold():
-    member = np.array([1.0, 0.0, 2.0])
-    nonmember = np.array([1.0, 1.0])
+    # Five (threshold, direction) rows on one pool; the NaN pad of the
+    # member rows is not a value.
+    member = np.tile([1.0, 0.0, 2.0, np.nan], (5, 1))
+    nonmember = np.tile([1.0, 1.0], (5, 1))
     # +1: member iff value >= 1 -> TPR 2/3, TNR 0; -1: value <= 1 -> 2/3, 0.
-    assert _score_threshold(1.0, 1, member, nonmember) == (2 / 3 + 0.0) / 2.0
-    assert _score_threshold(1.0, -1, member, nonmember) == (2 / 3 + 0.0) / 2.0
-    assert _score_threshold(1.5, -1, member, nonmember) == (2 / 3 + 0.0) / 2.0
-    assert _score_threshold(0.5, 1, member, nonmember) == (2 / 3 + 0.0) / 2.0
-    assert _score_threshold(0.5, -1, member, nonmember) == (1 / 3 + 1.0) / 2.0
+    scores = _score_thresholds(np.array([1.0, 1.0, 1.5, 0.5, 0.5]),
+                               np.array([1, -1, -1, 1, -1]), member, nonmember)
+    assert scores.tolist() == [(2 / 3 + 0.0) / 2.0] * 4 + [(1 / 3 + 1.0) / 2.0]

@@ -140,5 +140,7 @@ def test_step_timing_prints_one_row_per_shipped_step(monkeypatch, capsys):
         ["structured.ini", "gradient_ascent", "80", "2-32-32-2"],
         ["reference.ini", "gradient_ascent", "40", "2-64-32-2"],
         ["structured.ini", "train", "800", "2-32-32-2"],
-        ["reference.ini", "train", "400", "2-64-32-2"]]
+        ["reference.ini", "train", "400", "2-64-32-2"],
+        ["structured.ini", "mia_sweep", "80", "2-32-32-2"],
+        ["reference.ini", "mia_sweep", "40", "2-64-32-2"]]
     assert all(float(row[4]) > 0 and float(row[5]) >= 0 for row in rows)
