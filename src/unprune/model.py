@@ -94,8 +94,8 @@ def init_model(dims: list[int], rng: SeededRng) -> MaskedModel:
                        init_snapshot=[w.copy() for w in weights], seed=rng.seed)
 
 
-def _forward_trace(model: MaskedModel, inputs: np.ndarray, product=None
-                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _forward_trace(model: MaskedModel, inputs: np.ndarray, product=None,
+                   out=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Returns (per-layer activations incl. input, per-hidden-layer ReLU masks).
 
     A hidden layer's mask is its boolean ``z > 0`` on the pre-activation
@@ -103,6 +103,11 @@ def _forward_trace(model: MaskedModel, inputs: np.ndarray, product=None
     activation is the only (batch, width) array it allocates. The last
     layer's ``z`` is the logits. ``product`` runs each ``z = x W^T``; it
     defaults to this module's ``matmul``, looked up at call time.
+
+    ``out`` is a workspace: a trace that this function returned for as many
+    rows. Each activation and mask is then written into its array of
+    ``out`` and nothing of the batch's size is allocated; ``product`` must
+    take ``out``, as ``numeric._product`` does.
     """
     product = product or matmul
     x = np.asarray(inputs, dtype=np.float64)
@@ -113,10 +118,14 @@ def _forward_trace(model: MaskedModel, inputs: np.ndarray, product=None
     masks = []
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = product(acts[-1], w.T)
+        if out is None:
+            z = product(acts[-1], w.T)
+        else:
+            z = product(acts[-1], w.T, out=out[0][l + 1])
         z += b
         if l < last:
-            masks.append(z > 0.0)
+            masks.append(np.greater(z, 0.0,
+                                    out=None if out is None else out[1][l]))
             np.maximum(z, 0.0, out=z)
         acts.append(z)
     return acts, masks
@@ -140,7 +149,8 @@ def backward(
 
 
 def _backward_from_trace(model: MaskedModel, trace, delta: np.ndarray,
-                         product=None, into: GradientSet | None = None
+                         product=None, into: GradientSet | None = None,
+                         deltas: list[np.ndarray] | None = None
                          ) -> GradientSet:
     """Parameter gradients from a ``_forward_trace`` and the logit gradient.
 
@@ -152,8 +162,9 @@ def _backward_from_trace(model: MaskedModel, trace, delta: np.ndarray,
     ``product`` runs the products, as in ``_forward_trace``. Without
     ``into`` the gradients are new arrays. With ``into``, arrays shaped like
     the parameters, each gradient is written into its array and ``into`` is
-    returned; ``product`` must then take ``out``, as ``numeric._product``
-    does.
+    returned. ``deltas`` are buffers for the hidden layers' deltas, as
+    ``_layer_deltas`` takes them. With either, ``product`` must take ``out``,
+    as ``numeric._product`` and ``np.matmul`` do.
     """
     product = product or matmul
     acts, masks = trace
@@ -161,7 +172,7 @@ def _backward_from_trace(model: MaskedModel, trace, delta: np.ndarray,
     if fresh:
         into = GradientSet(weights=[None] * len(model.weights),
                            biases=[None] * len(model.weights))
-    for l, d in _layer_deltas(model, masks, delta, product):
+    for l, d in _layer_deltas(model, masks, delta, product, deltas):
         if fresh:
             into.weights[l] = product(d.T, acts[l])
         else:
@@ -173,20 +184,27 @@ def _backward_from_trace(model: MaskedModel, trace, delta: np.ndarray,
 
 
 def _layer_deltas(model: MaskedModel, masks: list[np.ndarray],
-                  delta: np.ndarray, product=None):
+                  delta: np.ndarray, product=None,
+                  out: list[np.ndarray] | None = None):
     """Yield ``(l, delta)`` from the last layer down: the ReLU recursion.
 
     ``delta`` is the loss gradient at layer ``l``'s pre-activation; the caller
     uses it before the next is made, so products run dW(L-1), dX(L-1), ...
     ``masks`` come from the ``_forward_trace`` of the batch, and the recursion
     reads the live ``model.weights``: they must not change between the two.
-    ``product`` runs each ``dX = delta W``, as in ``_forward_trace``.
+    ``product`` runs each ``dX = delta W``, as in ``_forward_trace``. With
+    ``out``, one array per hidden layer shaped like that layer's activation,
+    hidden layer ``l``'s delta is written into ``out[l]``, and ``product``
+    must take ``out``.
     """
     product = product or matmul
     for l in range(len(model.weights) - 1, -1, -1):
         yield l, delta
         if l > 0:
-            delta = product(delta, model.weights[l])
+            if out is None:
+                delta = product(delta, model.weights[l])
+            else:
+                delta = product(delta, model.weights[l], out=out[l - 1])
             delta *= masks[l - 1]
 
 

@@ -5,15 +5,18 @@ goes through ``SeededRng``, a counter-based (Philox) stream that can be
 split into independent named sub-streams, so that e.g. the deletion split,
 the weight init and the scrubbing noise never share state.
 
-``_product`` is the package's one product site: ``a @ b`` and a
-finiteness guard, with no operand checks. ``matmul`` checks its operands and
-then calls it; ``model``'s forward pass and backward recursion call
-``matmul`` unless their caller passes ``_product``, and the two step loops
-(``train.train_sgd``, ``unlearn._descend``) pass it, since their operand
-shapes cannot change inside the loop. Each product runs on one OpenBLAS
-thread: the products are small (the largest on the shipped tasks is
-800 x 32 x 32), and on two cores a second thread doubled a run's CPU time
-without shortening its wall time. OpenBLAS splits a product across threads
+``_product`` is ``a @ b`` and a finiteness guard, ``_all_finite``, with
+no operand checks. ``matmul`` checks its operands and then calls it;
+``model``'s forward pass and backward recursion call ``matmul`` unless their
+caller passes another product. The two step loops (``train.train_sgd``,
+``unlearn._descend``), whose operand shapes cannot change inside the loop,
+run the forward products through ``_product`` and the backward products
+through bare ``np.matmul``, unguarded: every non-finite backward product
+reaches the step's gradient vector, and ``train._FlatStep`` checks that
+vector once with ``_all_finite``. Each product runs on one OpenBLAS
+thread: the products are small (the largest on the shipped tasks is 800 x
+32 x 32), and on two cores a second thread doubled a run's CPU time without
+shortening its wall time. OpenBLAS splits a product across threads
 by output blocks, never along the reduction, so the result is the same bit
 for bit.
 
@@ -125,8 +128,9 @@ def blas_scope():
     normal or by a raise, restores both. A nested entry does nothing, so a
     loop that opens a scope pays for the thread calls and the error state
     once, and the products inside it pay for neither. Overflow in the
-    block raises no warning; ``_product``'s finiteness guard and the loss
-    checks turn a non-finite value into ``NumericError``. The count is
+    block raises no warning; ``_product``'s finiteness guard, the step's
+    gradient check and the loss checks turn a non-finite value into
+    ``NumericError``. The count is
     process-wide, so scopes opened from several Python threads at once
     could restore it out of order; the package opens none that way.
     """
@@ -173,15 +177,23 @@ def _product(a: np.ndarray, b: np.ndarray,
     ``NumericError``.
 
     The operands are not checked: the caller passes 2-d float64 arrays that
-    agree, and runs the product inside a ``blas_scope``. The guard is the
-    product's sum of squares, one BLAS call: it is finite only if every
-    entry is, and when finite entries overflow it, ``np.isfinite`` decides.
+    agree, and runs the product inside a ``blas_scope``. The guard is
+    ``_all_finite`` of the product.
     """
     out = np.matmul(a, b, out=out)
-    flat = out.reshape(-1)
-    if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
+    if not _all_finite(out.reshape(-1)):
         raise NumericError("matmul produced non-finite values")
     return out
+
+
+def _all_finite(flat: np.ndarray) -> bool:
+    """Whether every entry of the 1-d float64 ``flat`` is finite.
+
+    The test is the sum of squares, one BLAS call: it is finite only if
+    every entry is, and when finite entries overflow it, ``np.isfinite``
+    decides.
+    """
+    return math.isfinite(flat @ flat) or bool(np.isfinite(flat).all())
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

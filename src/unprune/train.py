@@ -10,11 +10,26 @@ Training and the gradient unlearners (``unlearn._descend``) run one step,
 float64 vector and works on views into it: each weight gradient is
 written into its view of a gradient vector in the same layout, the update
 is two vector operations, and training re-applies the mask as one
-multiply of the weight region by the flat mask. Its products go through
-``numeric._product``, with the operand checks that ``matmul`` makes on
-every call left out. When the loop returns or raises, the vector is copied
-back into the model's arrays. Every value is computed as a per-layer step
-computes it, so the weights are the same bit for bit.
+multiply of the weight region by the flat mask. When the loop returns or
+raises, the vector is copied back into the model's arrays.
+
+A loop's row count is fixed, so the step keeps a workspace for the whole
+loop: the first forward pass allocates each layer's activation, each
+hidden layer's ReLU mask and one delta per hidden layer, and every later
+step writes its products into those arrays with ``out=``. No product
+changes its operands or their layout, so every value is computed as a
+per-layer step computes it, and the weights are the same bit for bit.
+
+The forward products go through ``numeric._product``, whose guard raises
+on a non-finite product. The backward products run unguarded; in their
+place the gradient vector is checked once, after it is scaled by the rate
+and before it is applied. That check is at least as strict as one guard
+per product: a non-finite weight gradient lands in the vector directly,
+and a non-finite hidden delta survives the ReLU mask (inf * 0 and NaN * 0
+are NaN), so it reaches its layer's bias gradient, a column sum of the
+delta. The check also covers the bias sums themselves, which can overflow
+when every product is finite. A failed check leaves the parameters as the
+last finished step left them.
 """
 
 from __future__ import annotations
@@ -29,9 +44,9 @@ from .errors import InputError, NumericError
 from .model import (GradientSet, MaskedModel, _backward_from_trace,
                     _forward_trace, apply_mask, forward)
 from .model import backward  # noqa: F401  (perfbench wraps unprune.train.backward)
-from .numeric import (SeededRng, _class_index, _cross_entropy_rows,
-                      _mean_loss, _product, _true_class_index, blas_scope,
-                      softmax_cross_entropy)
+from .numeric import (SeededRng, _all_finite, _class_index,
+                      _cross_entropy_rows, _mean_loss, _product,
+                      _true_class_index, blas_scope, softmax_cross_entropy)
 
 
 @dataclass(frozen=True)
@@ -63,8 +78,8 @@ def train_sgd(
 
     Each epoch is one step on all rows in a seeded shuffle. The mask is
     applied before the first step and re-applied after every step, so a
-    pruned weight is a stored 0 in every pass, and a non-finite loss or
-    product aborts with an error naming the epoch.
+    pruned weight is a stored 0 in every pass, and a non-finite loss,
+    forward product or gradient aborts with an error naming the epoch.
 
     Log row ``k`` is the (loss, accuracy) over ``indices`` of the model as
     epoch ``k`` left it. The step of epoch ``k + 1`` forward-passes every
@@ -123,6 +138,8 @@ class _FlatStep:
     biases, so ``weights`` is one region of it. ``model`` is the caller's
     model with views into ``theta`` in place of its weights and biases,
     and ``grads`` holds views into ``grad``, a vector in ``theta``'s layout.
+    Every ``trace`` of one step must pass as many rows: the first one
+    allocates the workspace that the later ones write into.
     """
 
     def __init__(self, model: MaskedModel):
@@ -135,17 +152,28 @@ class _FlatStep:
         self.weights = self.theta[:sum(w.size for w in model.weights)]
         self.model = replace(model, weights=views[:n], biases=views[n:])
         self.grads = GradientSet(weights=grads[:n], biases=grads[n:])
+        self._trace = self._deltas = None
 
     def trace(self, x: np.ndarray):
-        """``_forward_trace`` of ``model`` on the rows ``x``."""
-        return _forward_trace(self.model, x, _product)
+        """``_forward_trace`` of ``model`` on the rows ``x``, in the
+        workspace; the trace is valid until the next call."""
+        trace = _forward_trace(self.model, x, _product, self._trace)
+        if self._trace is None:
+            # A hidden layer's delta is shaped like its activation.
+            self._deltas = [np.empty_like(a) for a in trace[0][1:-1]]
+        self._trace = trace
+        return trace
 
     def update(self, trace, delta: np.ndarray, rate: float) -> None:
         """``theta -= rate * grad`` for the gradient of a ``trace`` of this
         step's model and its logit gradient ``delta``; a negative rate
-        ascends. The mask is left to the caller."""
-        _backward_from_trace(self.model, trace, delta, _product, self.grads)
+        ascends. A non-finite ``rate * grad`` raises ``NumericError`` and
+        leaves ``theta`` as it was. The mask is left to the caller."""
+        _backward_from_trace(self.model, trace, delta, np.matmul, self.grads,
+                             self._deltas)
         self.grad *= rate
+        if not _all_finite(self.grad):
+            raise NumericError("gradient has non-finite values")
         self.theta -= self.grad
 
     def copy_back(self) -> None:

@@ -257,22 +257,25 @@ def test_criterion_07_init_strategy_ordering(ref_cfg, ref_grid, ref_runs,
                                               sparsity=sparsity)]))}
     cfg = replace(ref_cfg, init_strategy="random")
     values = []
-    # Seeds whose random-init un-pruned mask is the pruned mask it started
-    # from: on those the random arm did nothing to the topology.
-    unmoved = 0
+    # Per seed, whether the random-init un-pruned mask is the pruned mask it
+    # started from: if so, the random arm did nothing to the topology.
+    unmoved = {}
     for seed, run in ref_runs.items():
         model = ref_pruned[seed].clone()
         cell_unprune(cfg, seed, sparsity, "gradient_ascent", model,
                      run.train_data, run.test_data, run.split)
-        unmoved += np.array_equal(model.flat_masks(),
-                                  ref_pruned[seed].flat_masks())
+        unmoved[seed] = np.array_equal(model.flat_masks(),
+                                       ref_pruned[seed].flat_masks())
         values.append(_scores(cfg, model, (ref_oracles[seed],), run.train_data,
                               run.test_data, run.split)[0]["iom"])
     means["random"] = float(np.mean(values))
     ok = means["original"] >= means["random"]
+    per_seed = ", ".join(f"seed {seed} {'yes' if same else 'no'}"
+                         for seed, same in unmoved.items())
     detail = (f"mean IoM original={means['original']:.4f} vs "
               f"random={means['random']:.4f}; random-init mask equals the "
-              f"pruned mask on {unmoved}/{len(ref_runs)} seeds")
+              f"pruned mask on {sum(unmoved.values())}/{len(ref_runs)} seeds "
+              f"({per_seed})")
     if not ok:
         # The criterion downgrades to qualitative when the ordering fails:
         # raw values are reported either way.

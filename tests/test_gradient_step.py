@@ -12,22 +12,26 @@ loss, gradients and weights must equal the reference's to the last bit,
 signed zeros included, or every pinned digest would move. A step loop sets
 the BLAS thread count once, however many products it runs, and a
 diverging loop raises a ``NumericError`` naming its epoch without a
-floating-point warning.
+floating-point warning. After its first step a loop allocates nothing of
+its batch's size, and a non-finite gradient raises before it is applied,
+even when every product that made it is finite.
 """
 
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from unprune import numeric
+from unprune import numeric, train
 from unprune.data import Dataset, gen_blobs
 from unprune.errors import NumericError
+from unprune.experiment import build_data
 from unprune.model import apply_mask, backward, init_model
 from unprune.numeric import SeededRng, softmax
 from unprune.oracle import build_model
-from unprune.train import train_sgd
+from unprune.train import _FlatStep, train_sgd
 from unprune.unlearn import unlearn_finetune, unlearn_gradient_ascent
 
 
@@ -201,17 +205,22 @@ def test_full_batch_divergence_mid_run_names_epoch():
         train_sgd(model, data, np.arange(data.n), 3, 1e200, SeededRng(10))
 
 
+def _run_any(loop, model, data, rows, steps, rate):
+    """``steps`` steps of gradient ascent or finetune, or epochs of
+    training (``full_batch``), on ``rows``."""
+    if loop == "ascent":
+        unlearn_gradient_ascent(model, data, rows, steps, rate)
+    elif loop == "finetune":
+        unlearn_finetune(model, data, rows, steps, rate)
+    else:
+        train_sgd(model, data, rows, steps, rate, SeededRng(10))
+
+
 def _run_loop(loop, rate):
     """Five epochs or steps of one step loop on a 40-row task."""
     data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
-    model = build_model([2, 12, 2], 9)
-    rows = np.arange(data.n)
-    if loop == "ascent":
-        unlearn_gradient_ascent(model, data, rows, 5, rate)
-    elif loop == "finetune":
-        unlearn_finetune(model, data, rows, 5, rate)
-    else:
-        train_sgd(model, data, rows, 5, rate, SeededRng(10))
+    _run_any(loop, build_model([2, 12, 2], 9), data, np.arange(data.n), 5,
+             rate)
 
 
 @pytest.mark.parametrize("loop", ["full_batch", "ascent", "finetune"])
@@ -243,8 +252,10 @@ def test_failing_step_loop_restores_blas_threads(blas_threads, loop):
 
 
 # The products of one step of a 3-layer net, in the order they run: the
-# forward z of layers 0-2, then dW2, dX2, dW1, dX1 and dW0.
+# forward z of layers 0-2, which go through the guarded ``_product``, then
+# dW2, dX2, dW1, dX1 and dW0, which run unguarded.
 _PRODUCTS = ("z0", "z1", "z2", "dW2", "dX2", "dW1", "dX1", "dW0")
+_FORWARD = 3
 
 
 @pytest.mark.parametrize("position", range(len(_PRODUCTS)), ids=_PRODUCTS)
@@ -252,46 +263,134 @@ _PRODUCTS = ("z0", "z1", "z2", "dW2", "dX2", "dW1", "dX1", "dW0")
 def test_fault_at_any_product_keeps_the_previous_step(blas_threads,
                                                       monkeypatch, loop,
                                                       position):
-    # The second step's product at `position` computes inf in every entry,
-    # so the product guard raises. The caller's model is then the one the
-    # first step left, bit for bit: the flat step copies it back.
+    # The second step's product at `position` computes inf in every entry.
+    # A forward product's guard raises at once; a backward product's inf
+    # reaches the gradient vector, whose check raises once the backward
+    # pass ends. The caller's model is then the one the first step left,
+    # bit for bit: the flat step copies it back.
     data = gen_blobs(SeededRng(9), 40, 2, 2, 1.0)
     rows = np.arange(data.n)
     start = _model_with_signed_zeros([2, 12, 8, 2], True, seed=9)
-
-    def run(model, steps):
-        if loop == "ascent":
-            unlearn_gradient_ascent(model, data, rows, steps, 0.05)
-        elif loop == "finetune":
-            unlearn_finetune(model, data, rows, steps, 0.05)
-        else:
-            train_sgd(model, data, rows, steps, 0.05, SeededRng(10))
-
     expected = start.clone()
-    run(expected, 1)
-    real, calls = numeric._product, []
+    _run_any(loop, expected, data, rows, 1, 0.05)
+    calls = []
 
-    def faulty(a, b, out=None):
-        calls.append(a.shape)
-        if len(calls) == len(_PRODUCTS) + position + 1:
-            a, b = np.full(a.shape, np.inf), np.ones(b.shape)
-        return real(a, b, out=out)
+    def faulty(real):
+        def product(a, b, out=None):
+            calls.append(a.shape)
+            if len(calls) == len(_PRODUCTS) + position + 1:
+                a, b = np.full(a.shape, np.inf), np.ones(b.shape)
+            return real(a, b, out=out)
+        return product
 
+    # The forward products are the step's `_product` calls, the backward
+    # ones the products that it hands to `_backward_from_trace`.
+    real = numeric._product
     for name in ("numeric", "train"):
         module = importlib.import_module(f"unprune.{name}")
         if getattr(module, "_product", None) is real:
-            monkeypatch.setattr(module, "_product", faulty)
+            monkeypatch.setattr(module, "_product", faulty(real))
+    backward_from_trace = train._backward_from_trace
+
+    def backward_faulty(model, trace, delta, product, *rest):
+        return backward_from_trace(model, trace, delta, faulty(product), *rest)
+
+    monkeypatch.setattr(train, "_backward_from_trace", backward_faulty)
     model = start.clone()
     blas_threads.sets.clear()
     # The forward products score the model the first step left: training
     # names epoch 0 for them and epoch 1 for a backward product.
+    forward = position < _FORWARD
+    message = ("matmul produced non-finite" if forward
+               else "gradient has non-finite")
     match = {"full_batch": "^training diverged at epoch "
-             f"{int(position >= 3)}: matmul produced non-finite"}.get(
-        loop, "^matmul produced non-finite")
+             f"{int(not forward)}: {message}"}.get(loop, f"^{message}")
     with pytest.raises(NumericError, match=match):
-        run(model, 3)
-    assert len(calls) == len(_PRODUCTS) + position + 1
+        _run_any(loop, model, data, rows, 3, 0.05)
+    assert len(calls) == len(_PRODUCTS) + (position + 1 if forward
+                                           else len(_PRODUCTS))
     _same_bits(expected.weights + expected.biases,
                model.weights + model.biases)
     assert blas_threads.sets == [1, 3]
     assert blas_threads.count == 3
+
+
+@pytest.mark.parametrize("loop", ["full_batch", "ascent", "finetune"])
+def test_overflowing_bias_gradient_raises_in_the_first_step(loop):
+    # Every product of the first step is finite: z0 = 1e-300, the logits
+    # +-6e8, each hidden delta 7.5e306 and dW0 3e298. The layer-0 bias
+    # gradient, the sum of 40 such deltas, overflows to inf. Applied, it
+    # makes that bias -inf (+inf for ascent); ReLU then zeroes the units,
+    # so no later product, loss or evaluation would see it.
+    model = build_model([2, 4, 2], 0)
+    model.weights[0][...] = 0.0
+    model.biases[0][...] = 1e-300
+    model.weights[1][0] = 1.5e308
+    model.weights[1][1] = -1.5e308
+    data = Dataset(inputs=np.full((40, 2), 1e-10),
+                   labels=np.ones(40, dtype=np.int64), num_classes=2,
+                   name="overflow")
+    start = model.clone()
+    match = {"full_batch": "^training diverged at epoch 0: "}.get(loop, "^")
+    with pytest.raises(NumericError, match=match + "gradient has non-finite"):
+        _run_any(loop, model, data, np.arange(40), 3, 0.1)
+    _same_bits(start.weights + start.biases, model.weights + model.biases)
+
+
+def _second_step_peak(monkeypatch, run) -> int:
+    """Bytes that ``tracemalloc`` sees allocated at most during the second
+    step of ``run(3)``: from its second trace to its third."""
+    real, marks = _FlatStep.trace, []
+
+    def trace(self, x):
+        marks.append(tracemalloc.get_traced_memory())
+        if len(marks) == 2:
+            tracemalloc.reset_peak()
+        return real(self, x)
+
+    monkeypatch.setattr(_FlatStep, "trace", trace)
+    tracemalloc.start()
+    try:
+        run(3)
+    finally:
+        tracemalloc.stop()
+    return marks[2][1] - marks[1][0]
+
+
+@pytest.mark.parametrize("loop", ["finetune", "full_batch"])
+def test_step_allocates_no_batch_sized_array(monkeypatch, struct_cfg, loop):
+    # The structured task's largest step arrays are 720 x 32 (finetune on
+    # the retained rows) and 800 x 32 (a training epoch). After the first
+    # step, every step writes into the loop's workspace, so the second
+    # allocates less than one such array.
+    train_data, _, split = build_data(struct_cfg, 0)
+    model = build_model(struct_cfg.arch_dims(), 0)
+    if loop == "finetune":
+        rate = struct_cfg.unlearn_config("finetune").rate
+
+        def run(steps):
+            unlearn_finetune(model, train_data, split.retain_indices, steps,
+                             rate)
+    else:
+        def run(steps):
+            train_sgd(model, train_data, np.arange(train_data.n), steps,
+                      struct_cfg.train.lr, SeededRng(0).split("train"))
+    assert _second_step_peak(monkeypatch, run) < 720 * 32 * 8
+
+
+def test_loops_on_one_model_match_loops_on_fresh_clones():
+    # Each loop makes its own workspace: a loop that follows one on another
+    # row count, smaller or larger, gives the bits it gives on a fresh
+    # clone of the model it starts from.
+    data = gen_blobs(SeededRng(9), 120, 2, 2, 1.0)
+    forget, retain = np.arange(12), np.arange(12, data.n)
+    loops = (lambda m: unlearn_gradient_ascent(m, data, forget, 3, 0.05),
+             lambda m: unlearn_finetune(m, data, retain, 3, 0.05),
+             lambda m: train_sgd(m, data, forget, 3, 0.05, SeededRng(10)),
+             lambda m: unlearn_gradient_ascent(m, data, retain, 3, 0.05))
+    model = _model_with_signed_zeros([2, 12, 8, 2], True, seed=9)
+    for loop in loops:
+        fresh = model.clone()
+        loop(model)
+        loop(fresh)
+        _same_bits(fresh.weights + fresh.biases, model.weights + model.biases)
